@@ -1,5 +1,5 @@
 //! Persistent data plane: cold-start vs warm-restart time-to-first-result,
-//! and streamed vs monolithic upload memory behavior.
+//! and streamed upload memory behavior.
 //!
 //! Cold pass: a fresh server over an empty `--store-dir` analogue pays
 //! the one-time NTT matrix encode before its first HMVP result. Warm
@@ -9,13 +9,12 @@
 //! paper's encode-once amortization made durable across process
 //! lifetimes.
 //!
-//! The upload comparison streams one matrix in bounded chunks
-//! (protocol v5) and uploads a second, distinct matrix monolithically,
-//! reading the process peak-RSS high-water mark around each (Linux
-//! `VmHWM`, reset via `clear_refs` where permitted; both metrics are 0
-//! when the kernel interface is unavailable). Scatter-gather serialize
-//! counters (`wire.vectored_writes` / `wire.gathered_parts`) land in the
-//! run record when the `telemetry` feature is compiled in.
+//! A further fresh matrix streams in bounded chunks while the bench reads
+//! the process peak-RSS high-water mark around the upload (Linux
+//! `VmHWM`, reset via `clear_refs` where permitted; the metric is 0 when
+//! the kernel interface is unavailable). The scatter-gather serialize
+//! counters (`wire_vectored_writes` / `wire_gathered_parts`) come from
+//! both servers' always-on stats.
 //!
 //! Every served result is decrypted and checked against the plain
 //! reference product, and the warm result is asserted bit-identical to
@@ -61,13 +60,6 @@ fn peak_rss_bytes() -> u64 {
 /// Resets the peak-RSS high-water mark (best-effort; Linux `clear_refs`).
 fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
-}
-
-fn telemetry_counter(name: &str) -> u64 {
-    cham_telemetry::counters::snapshot()
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map_or(0, |&(_, v)| v)
 }
 
 fn matrix_encode_count(server: &Server) -> u64 {
@@ -147,7 +139,7 @@ fn main() {
         assert_eq!(got, matrix.mul_vector_mod(v, t).expect("reference"));
     }
     drop(client);
-    server.shutdown();
+    let cold_stats = server.shutdown();
     println!("cold start: first verified result in {cold_seconds:.3} s (1 encode)");
 
     // --- Warm restart: same directory, segment restore, zero encodes. ---
@@ -177,8 +169,8 @@ fn main() {
     let warm_speedup = cold_seconds / warm_seconds.max(1e-9);
     println!("time-to-first-result speedup: {warm_speedup:.2}x");
 
-    // --- Streamed vs monolithic upload peak RSS (fresh content each so
-    // neither dedups onto a cached entry). ---
+    // --- Streamed upload peak RSS (fresh content so it does not dedup
+    // onto a cached entry). ---
     let streamed_matrix = Matrix::random(ROWS, COLS, t.value(), &mut rng);
     reset_peak_rss();
     let up = client
@@ -186,26 +178,18 @@ fn main() {
         .expect("streamed upload");
     let streamed_peak = peak_rss_bytes();
     assert!(up.chunks_sent > 0);
-    let mono_matrix = Matrix::random(ROWS, COLS, t.value(), &mut rng);
-    reset_peak_rss();
-    client
-        .load_matrix_monolithic(&mono_matrix)
-        .expect("monolithic upload");
-    let mono_peak = peak_rss_bytes();
     println!(
-        "upload peak RSS: streamed {streamed_peak} B vs monolithic {mono_peak} B \
-         ({} chunk(s) of {} B)",
+        "upload peak RSS: streamed {streamed_peak} B ({} chunk(s) of {} B)",
         up.chunks_sent,
         protocol::DEFAULT_CHUNK_BYTES
     );
     drop(client);
-    server.shutdown();
+    let warm_stats = server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Scatter-gather copy accounting from the serialize path (0 without
-    // the `telemetry` feature — additive fields, never load-bearing).
-    let vectored_writes = telemetry_counter("cham_serve.wire.vectored_writes");
-    let gathered_parts = telemetry_counter("cham_serve.wire.gathered_parts");
+    // Scatter-gather copy accounting from the serialize path.
+    let vectored_writes = cold_stats.vectored_writes + warm_stats.vectored_writes;
+    let gathered_parts = cold_stats.gathered_parts + warm_stats.gathered_parts;
 
     run.param("rows", ROWS)
         .param("cols", COLS)
@@ -225,7 +209,6 @@ fn main() {
         .metric("warm_chunks_sent", u64::from(warm_up.chunks_sent))
         .metric("warm_chunks_skipped", u64::from(warm_up.chunks_skipped))
         .metric("streamed_upload_peak_rss_bytes", streamed_peak)
-        .metric("monolithic_upload_peak_rss_bytes", mono_peak)
         .metric("wire_vectored_writes", vectored_writes)
         .metric("wire_gathered_parts", gathered_parts);
     run.finish();

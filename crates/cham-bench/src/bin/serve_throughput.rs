@@ -219,23 +219,10 @@ fn main() {
         .metric("latency_p99_ns", total_stat.p99_ns)
         .metric("latency_p999_ns", total_stat.p999_ns)
         .metric("phase_coverage", coverage);
-    // Scatter-gather serialize accounting (0 without the `telemetry`
-    // feature): how many response frames went out via write_vectored and
-    // how many buffer copies that saved.
-    let wire_counter = |name: &str| {
-        cham_telemetry::counters::snapshot()
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |&(_, v)| v)
-    };
-    run.metric(
-        "wire_vectored_writes",
-        wire_counter("cham_serve.wire.vectored_writes"),
-    )
-    .metric(
-        "wire_gathered_parts",
-        wire_counter("cham_serve.wire.gathered_parts"),
-    );
+    // Scatter-gather serialize accounting: how many response frames
+    // went out via write_vectored and how many buffers they gathered.
+    run.metric("wire_vectored_writes", stats.vectored_writes)
+        .metric("wire_gathered_parts", stats.gathered_parts);
     for p in &introspect.phases {
         run.metric(format!("phase_ns.{}", p.name), p.sum_ns);
     }

@@ -94,7 +94,7 @@ pub struct ClusterStatsSnapshot {
     pub faults_recovered: u64,
     /// Replica failovers (endpoint switches) across all routes.
     pub failovers: u64,
-    /// Matrix chunks actually sent over streamed (protocol v5) uploads.
+    /// Matrix chunks actually sent over streamed uploads.
     pub chunks_sent: u64,
     /// Chunks skipped because the server already held them — the
     /// resumable-re-upload savings across retries and failovers.
@@ -265,8 +265,7 @@ impl ClusterClient {
     /// rounded up to a multiple of the ring dimension `N`, so each
     /// band's packed outputs are bit-identical to the corresponding
     /// single-node slice — and uploads each band to its own replica
-    /// set. On protocol-v5 connections each band uploads as streamed,
-    /// resumable chunks (see `cham_serve::ServeClient::load_matrix_streamed`),
+    /// set. Each band uploads as streamed, resumable chunks (see `cham_serve::ServeClient::load_matrix_streamed`),
     /// so a mid-band disconnect re-sends only the missing pieces.
     ///
     /// # Errors

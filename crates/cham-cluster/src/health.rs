@@ -156,7 +156,6 @@ impl HealthMonitor {
             connect_timeout: config.probe_timeout,
             read_timeout: Some(config.probe_timeout),
             write_timeout: Some(config.probe_timeout),
-            ..ClientConfig::default()
         };
         let states = vec![
             NodeState {

@@ -27,17 +27,20 @@
 //!   [`ClusterClient::quarantine_node`] so routing stops dialing dead
 //!   replicas for longer than the optimistic per-failure cooldown.
 //! * [`repair`] — anti-entropy: diff each node's reported inventory
-//!   (protocol v6 `StoreList`) against the ring's replica sets, then
+//!   (the `StoreList` op) against the ring's replica sets, then
 //!   stream missing segments replica→replica over the resumable
 //!   chunked-upload path until the fleet converges back to full
 //!   replication — including backfilling a restarted node that
 //!   rejoined with a stale (or empty) store.
 //!
-//! The wire protocol is unchanged except for protocol v4's trailing
-//! cluster block in the hello response (`node_id`, `shard_index`,
-//! `shard_count`, ring epoch), which v2/v3 peers never see — a
-//! cluster-aware client talking to a pre-cluster server simply runs
-//! single-node, and vice versa.
+//! Every node speaks the one `cham_serve` protocol revision. Cluster
+//! awareness lives in two places on that wire: the hello response's
+//! cluster block (`node_id`, `shard_index`, `shard_count`, ring epoch —
+//! an explicit "absent" byte on a standalone server), and the typed
+//! `WrongShard` error. A node built with different parameters or a
+//! different revision is refused at hello time with a typed
+//! `Incompatible` error, which the routing layer surfaces after one
+//! connection attempt rather than retrying.
 
 pub mod client;
 pub mod health;

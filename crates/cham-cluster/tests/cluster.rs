@@ -1,7 +1,7 @@
 //! Cluster integration: a real 3-shard loopback fleet under a
 //! [`ClusterClient`].
 //!
-//! Four end-to-end claims:
+//! Five end-to-end claims:
 //!
 //! 1. **Fan-out changes nothing cryptographically**: an HMVP fanned
 //!    across shard-held row bands reassembles to packed ciphertexts
@@ -15,19 +15,15 @@
 //!    with a stale (rotated) address map gets a typed `WrongShard`,
 //!    rebuilds the map from the fleet's own hello answers, and
 //!    succeeds — with zero blind retries.
-//! 4. **Version interop is bidirectional**: a v3-pinned client runs the
-//!    full workload against a v4 shard-configured server (and sees no
-//!    cluster block); a v4 client against a v3-era server downgrades
-//!    and reads no cluster block.
+//! 4. **Nodes identify themselves**: a shard-configured server's hello
+//!    carries its cluster identity (a standalone one's an explicit
+//!    "absent" byte), and a node refusing the client's protocol revision
+//!    is surfaced as a typed `Incompatible` after one connection attempt.
 //! 5. **The fleet self-heals**: a killed replica is condemned by the
 //!    heartbeat monitor (feeding the router's quarantine), rejoins
 //!    empty on restart, and anti-entropy repair streams its replica
 //!    share back until the inventory diff is zero — post-repair
 //!    answers bit-identical to pre-kill.
-//! 6. **The repair surface is version-gated**: v5 peers run the full
-//!    pre-repair workload against a v6 server (hello bodies byte-equal
-//!    but for the revision echo) while `StoreList`/`StoreFetch`/segment
-//!    transfers are refused typed on both sides of the wire.
 //!
 //! Everything runs on degree-64 parameters: band alignment is the ring
 //! dimension, so small `N` keeps multi-band matrices cheap.
@@ -37,13 +33,13 @@ use cham_he::encrypt::{Decryptor, Encryptor};
 use cham_he::hmvp::{Hmvp, HmvpResult, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::{ChamParams, ChamParamsBuilder};
-use cham_serve::protocol::{self, ErrorCode, FrameKind, Hello, Response};
+use cham_serve::protocol::{self, ErrorCode, FrameKind, Hello};
 use cham_serve::server::{Server, ServerConfig};
 use cham_serve::shard::{HashRing, ShardSpec};
 use cham_serve::{ClientConfig, RetryClient, RetryPolicy, ServeClient, ServeError};
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -308,14 +304,15 @@ fn wrong_shard_triggers_reroute_not_retry_loop() {
     }
 }
 
-/// v3-pinned client against a v4 shard-configured server: downgraded
-/// hello without a cluster block, full workload still serves.
+/// A shard-configured server advertises its cluster identity in the
+/// hello response and serves the full workload; a standalone server
+/// advertises none.
 #[test]
-fn v3_client_runs_against_v4_sharded_server() {
+fn hello_advertises_cluster_identity() {
     let f = fixture();
     let t = f.params.plain_modulus();
     // One-slot ring: the server owns every id, so sharding is enforced
-    // but never rejects — exactly what a pre-cluster client expects.
+    // but never rejects.
     let server = Server::start(
         "127.0.0.1:0",
         Arc::clone(&f.params),
@@ -329,16 +326,24 @@ fn v3_client_runs_against_v4_sharded_server() {
         },
     )
     .unwrap();
+    let standalone = Server::start(
+        "127.0.0.1:0",
+        Arc::clone(&f.params),
+        &ServerConfig::default(),
+    )
+    .unwrap();
 
-    let v3_config = ClientConfig {
-        protocol_version: 3,
-        ..ClientConfig::default()
-    };
-    let mut client =
-        ServeClient::connect_with(server.local_addr(), Arc::clone(&f.params), &v3_config).unwrap();
-    let info = client.server_info();
-    assert_eq!(info.version, 3, "server must honor the pinned revision");
-    assert_eq!(info.cluster, None, "no cluster block below v4");
+    let mut client = ServeClient::connect(server.local_addr(), Arc::clone(&f.params)).unwrap();
+    let identity = client
+        .server_info()
+        .cluster
+        .expect("a shard-configured server advertises identity");
+    assert_eq!(identity.node_id, 0xBEEF);
+    assert_eq!(identity.shard_index, 0);
+    assert_eq!(identity.shard_count, 1);
+    assert_eq!(identity.epoch, 3);
+    let alone = ServeClient::connect(standalone.local_addr(), Arc::clone(&f.params)).unwrap();
+    assert_eq!(alone.server_info().cluster, None);
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x73);
     let matrix = Matrix::random(DEGREE, DEGREE, t.value(), &mut rng);
@@ -355,50 +360,9 @@ fn v3_client_runs_against_v4_sharded_server() {
     let got = hmvp.decrypt_result(&result, &dec).unwrap();
     assert_eq!(got, matrix.mul_vector_mod(&v, t).unwrap());
 
-    // A v4 client on the same server *does* see the identity.
-    let v4 = ServeClient::connect(server.local_addr(), Arc::clone(&f.params)).unwrap();
-    let identity = v4.server_info().cluster.expect("v4 advertises identity");
-    assert_eq!(identity.node_id, 0xBEEF);
-    assert_eq!(identity.shard_index, 0);
-    assert_eq!(identity.shard_count, 1);
-    assert_eq!(identity.epoch, 3);
-    drop((client, v4));
+    drop((client, alone));
     server.shutdown();
-}
-
-/// v4 client against a v3-era server (no cluster block on the wire):
-/// negotiates down, reads no identity, and keeps working.
-#[test]
-fn v4_client_downgrades_against_v3_server() {
-    let f = fixture();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || {
-        // A minimal v3-era server: accepts the hello, answers in v3
-        // shape (no cluster block exists at that revision).
-        let (mut stream, _) = listener.accept().unwrap();
-        let (kind, body) = protocol::read_frame(&mut stream).unwrap();
-        assert_eq!(kind, FrameKind::Hello);
-        let hello = Hello::from_bytes(&body).unwrap();
-        assert_eq!(hello.version, protocol::PROTOCOL_VERSION);
-        let resp = Response::Hello {
-            workers: 1,
-            queue_capacity: 8,
-            max_batch: 4,
-            version: 3,
-            cluster: None,
-        };
-        protocol::write_frame(&mut stream, FrameKind::Result, &resp.to_bytes()).unwrap();
-    });
-    let client = ServeClient::connect(addr, Arc::clone(&f.params)).unwrap();
-    let info = client.server_info();
-    assert_eq!(
-        info.version, 3,
-        "client must settle on the server's revision"
-    );
-    assert_eq!(info.cluster, None, "no cluster block exists below v4");
-    drop(client);
-    handle.join().unwrap();
+    standalone.shutdown();
 }
 
 /// The self-healing loop end to end: a replica dies under load (zero
@@ -616,121 +580,11 @@ fn killed_replica_rejoins_and_repair_converges() {
     }
 }
 
-/// v5-pinned client against a v6 server: the full pre-repair workload
-/// serves, the repair surface is version-gated on *both* sides of the
-/// wire, and the v5/v6 hello response bodies agree on every byte except
-/// the two-byte revision echo.
+/// A node refusing the client's protocol revision is surfaced by the
+/// cluster client as the typed `Incompatible` after exactly one
+/// connection attempt: no retry, no failover, no topology refresh.
 #[test]
-fn v5_client_runs_against_v6_server() {
-    let f = fixture();
-    let t = f.params.plain_modulus();
-    // One-slot ring so the hello carries a full cluster block — the
-    // byte-shape comparison below then covers the identity fields too.
-    let server = Server::start(
-        "127.0.0.1:0",
-        Arc::clone(&f.params),
-        &ServerConfig {
-            workers: 1,
-            queue_capacity: 8,
-            max_batch: 2,
-            shard: Some(ShardSpec::new(HashRing::new(1, VNODES, 1), 0, 9)),
-            node_id: 0xCAFE,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-
-    let v5_config = ClientConfig {
-        protocol_version: 5,
-        ..ClientConfig::default()
-    };
-    let mut client =
-        ServeClient::connect_with(server.local_addr(), Arc::clone(&f.params), &v5_config).unwrap();
-    assert_eq!(client.server_info().version, 5);
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x55);
-    let matrix = Matrix::random(DEGREE, DEGREE, t.value(), &mut rng);
-    let hmvp = Hmvp::from_arc(Arc::clone(&f.params));
-    let enc = Encryptor::new(&f.params, &f.sk);
-    let dec = Decryptor::new(&f.params, &f.sk);
-    let key_id = client.load_keys(&f.gkeys, &f.indices).unwrap();
-    let matrix_id = client.load_matrix(&matrix).unwrap();
-    let v: Vec<u64> = (0..matrix.cols())
-        .map(|_| rng.gen_range(0..t.value()))
-        .collect();
-    let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
-    let result = client.hmvp(key_id, matrix_id, &cts, None).unwrap();
-    assert_eq!(
-        hmvp.decrypt_result(&result, &dec).unwrap(),
-        matrix.mul_vector_mod(&v, t).unwrap()
-    );
-
-    // Client-side gate: the repair surface refuses below v6 without
-    // touching the wire.
-    assert!(matches!(
-        client.store_list(),
-        Err(ServeError::Incompatible(_))
-    ));
-    assert!(matches!(
-        client.store_fetch(1),
-        Err(ServeError::Incompatible(_))
-    ));
-
-    // Raw handshakes at both revisions, for the server-side gate and
-    // the byte-shape pin.
-    let hello_at = |version: u16| {
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        let hello = Hello {
-            version,
-            ..Hello::for_params(&f.params)
-        };
-        protocol::write_frame(&mut stream, FrameKind::Hello, &hello.to_bytes()).unwrap();
-        let (kind, body) = protocol::read_frame(&mut stream).unwrap();
-        assert_eq!(kind, FrameKind::Result);
-        (stream, body)
-    };
-
-    // Server-side gate: a misbehaving v5 peer that sends `StoreList`
-    // anyway gets a typed Incompatible, not a hang or a close.
-    let (mut raw5, body5) = hello_at(5);
-    protocol::write_frame(&mut raw5, FrameKind::StoreList, &[]).unwrap();
-    let (kind, body) = protocol::read_frame(&mut raw5).unwrap();
-    assert_eq!(kind, FrameKind::Error);
-    let (code, message) = protocol::error_from_body(&body).unwrap();
-    assert_eq!(code, ErrorCode::Incompatible, "{message}");
-
-    // Byte-exact hello interop: bodies identical but for the revision
-    // echo at offsets 11..13.
-    let (_raw6, body6) = hello_at(6);
-    assert_eq!(
-        body5.len(),
-        body6.len(),
-        "hello shape diverged across v5/v6"
-    );
-    assert_eq!(body5[..11], body6[..11]);
-    assert_eq!(body5[13..], body6[13..]);
-    assert_eq!(u16::from_le_bytes([body5[11], body5[12]]), 5);
-    assert_eq!(u16::from_le_bytes([body6[11], body6[12]]), 6);
-    match Response::from_bytes(&body6, &f.params).unwrap() {
-        Response::Hello {
-            version, cluster, ..
-        } => {
-            assert_eq!(version, 6);
-            let id = cluster.expect("shard-configured server advertises identity");
-            assert_eq!((id.node_id, id.epoch), (0xCAFE, 9));
-        }
-        other => panic!("unexpected hello reply: {other:?}"),
-    }
-
-    drop(client);
-    server.shutdown();
-}
-
-/// v6 client against a v5-era server: negotiates down to 5 and the
-/// repair surface turns off client-side — no wire traffic (the server
-/// thread below answers exactly one hello and exits).
-#[test]
-fn v6_client_downgrades_against_v5_server() {
+fn revision_mismatch_surfaces_after_one_connection_attempt() {
     let f = fixture();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -739,30 +593,36 @@ fn v6_client_downgrades_against_v5_server() {
         let (kind, body) = protocol::read_frame(&mut stream).unwrap();
         assert_eq!(kind, FrameKind::Hello);
         let hello = Hello::from_bytes(&body).unwrap();
-        assert_eq!(hello.version, protocol::PROTOCOL_VERSION);
-        let resp = Response::Hello {
-            workers: 1,
-            queue_capacity: 8,
-            max_batch: 4,
-            version: 5,
-            cluster: None,
-        };
-        protocol::write_frame(&mut stream, FrameKind::Result, &resp.to_bytes()).unwrap();
+        let message = format!(
+            "protocol revision mismatch: peer speaks {}, this node speaks {}",
+            hello.version,
+            hello.version + 1
+        );
+        let body = protocol::error_body(ErrorCode::Incompatible, &message);
+        protocol::write_frame(&mut stream, FrameKind::Error, &body).unwrap();
+        listener
     });
-    let mut client = ServeClient::connect(addr, Arc::clone(&f.params)).unwrap();
-    assert_eq!(
-        client.server_info().version,
-        5,
-        "client must settle on the server's revision"
+    let topology = Topology::new(vec![addr.to_string()]).unwrap();
+    let mut cc = ClusterClient::with_config(
+        topology,
+        Arc::clone(&f.params),
+        ClientConfig::default(),
+        quick_policy(0x0E),
     );
-    assert!(matches!(
-        client.store_list(),
-        Err(ServeError::Incompatible(_))
-    ));
-    assert!(matches!(
-        client.load_segment_streamed(0x1, &[0u8; 16], 8),
-        Err(ServeError::Incompatible(_))
-    ));
-    drop(client);
-    handle.join().unwrap();
+    match cc.load_keys(&f.gkeys, &f.indices) {
+        Err(ServeError::Remote {
+            code: ErrorCode::Incompatible,
+            message,
+        }) => assert!(message.contains("revision mismatch"), "{message}"),
+        other => panic!("expected a typed Incompatible, got {other:?}"),
+    }
+    let stats = cc.stats();
+    assert_eq!((stats.retries, stats.refreshes), (0, 0), "{stats:?}");
+    // Every attempted connection would sit completed in the backlog.
+    let listener = handle.join().unwrap();
+    listener.set_nonblocking(true).unwrap();
+    assert!(
+        matches!(listener.accept(), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the cluster client connected again"
+    );
 }

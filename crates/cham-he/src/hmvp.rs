@@ -666,8 +666,9 @@ mod tests {
         let em = hmvp.encode_matrix(&a).unwrap();
         // Warm-up populates every worker's scratch slot.
         hmvp.dot_products_parallel(&em, &cts, 4).unwrap();
-        // Concurrently running tests share slot 0 and can steal a buffer
-        // mid-measurement; retry so only a systematic per-row miss fails.
+        // The dot phase runs on the global pool's workers, which sibling
+        // tests share, and the process-wide counters also count their
+        // first-call misses; retry so only a systematic per-row miss fails.
         let mut flat = false;
         for _ in 0..5 {
             let (_, misses_before) = crate::scratch::scratch_stats();

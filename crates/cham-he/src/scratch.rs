@@ -1,30 +1,35 @@
-//! Per-worker scratch buffers for the fused HMVP kernels.
+//! Per-thread scratch buffers for the fused HMVP kernels.
 //!
 //! The dot phase runs one [`cham_math::rns::FusedAccumulator`] pair per row;
 //! backing those with freshly allocated `u128` vectors would put two heap
 //! allocations back on every row — exactly the churn the fused kernel
-//! removes. Instead, workers check buffers out of a small pool keyed by the
-//! `cham-pool` worker index, so the steady state recycles one scratch pair
-//! per worker with no locking contention (each worker hits its own slot).
+//! removes. Instead, each thread keeps a small stack of released buffers
+//! in a thread-local, so the steady state recycles one scratch pair per
+//! thread with no lock at all. `cham-pool` workers are long-lived
+//! threads, so their stacks persist across dot phases.
 //!
 //! Ownership rules:
 //! * a scratch is owned exclusively for the duration of one
-//!   [`with_dot_scratch`] call and returned to the caller's slot afterwards,
+//!   [`with_dot_scratch`] call and returned to the calling thread's stack
+//!   afterwards,
 //! * buffers are size-matched, never resized — a request for an unseen
 //!   `(degree, limbs)` shape allocates (a *miss*) and the buffer joins the
-//!   pool on release,
-//! * slot depth is bounded ([`MAX_PER_SLOT`]); excess buffers are dropped
-//!   rather than hoarded.
+//!   stack on release,
+//! * stack depth is bounded ([`MAX_PER_SLOT`]); releasing into a full
+//!   stack drops the least recently used buffer, so the shape in current
+//!   use always stays pooled.
 //!
-//! Hit/miss counts are always-on atomics (like the pool stats from
-//! `cham-pool`) so run records can report them without the `telemetry`
-//! feature; with the feature they are mirrored to the
+//! Hit/miss counts are always-on: process-wide atomics (like the pool
+//! stats from `cham-pool`) that run records report without the
+//! `telemetry` feature, plus per-thread counts that let this module's
+//! tests measure their own thread's reuse while sibling tests run. With
+//! the feature the totals are mirrored to the
 //! `cham_he.hmvp.scratch.{hit,miss}` counters.
 
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
 
-/// Upper bound on buffers parked per worker slot.
+/// Upper bound on buffers parked per thread.
 const MAX_PER_SLOT: usize = 4;
 
 /// A reusable pair of deferred-reduction accumulators (`b` and `a`
@@ -34,69 +39,67 @@ pub(crate) struct DotScratch {
     pub(crate) a_acc: Vec<u128>,
 }
 
-struct ScratchPool {
-    /// Slot 0 serves non-pool threads; slot `i + 1` serves pool worker `i`.
-    slots: Vec<Mutex<Vec<DotScratch>>>,
-}
-
-static POOL: OnceLock<ScratchPool> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
-fn pool() -> &'static ScratchPool {
-    POOL.get_or_init(|| {
-        let slots = cham_pool::current_threads() + 1;
-        ScratchPool {
-            slots: (0..slots).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    })
+thread_local! {
+    /// Released buffers, least recently used first.
+    static STACK: RefCell<Vec<DotScratch>> = const { RefCell::new(Vec::new()) };
+    static THREAD_STATS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-/// The calling thread's slot. Worker indices from a private (non-global)
-/// pool may exceed the slot count sized off the global pool — the modulo
-/// keeps them valid at worst sharing a slot.
-fn slot_index(p: &ScratchPool) -> usize {
-    cham_pool::current_worker_index().map_or(0, |i| (i + 1) % p.slots.len())
-}
-
-/// Scratch-pool hit and miss totals `(hits, misses)` since process start.
-/// A flat miss count across repeated dot phases is the zero-allocation
-/// steady-state witness asserted by tests and reported in run records.
+/// Scratch hit and miss totals `(hits, misses)` across every thread since
+/// process start. A flat miss count across repeated dot phases is the
+/// zero-allocation steady-state witness reported in run records.
 #[must_use]
 pub fn scratch_stats() -> (u64, u64) {
     (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
 }
 
+/// Scratch hit and miss totals `(hits, misses)` of the calling thread
+/// alone — unaffected by whatever other threads check out meanwhile.
+#[cfg(test)]
+fn thread_scratch_stats() -> (u64, u64) {
+    THREAD_STATS.with(Cell::get)
+}
+
 /// Runs `f` with a checked-out scratch of exactly `len` lanes per
-/// accumulator, returning the buffer to the worker's slot afterwards.
+/// accumulator, returning the buffer to the calling thread's stack
+/// afterwards.
 pub(crate) fn with_dot_scratch<T>(len: usize, f: impl FnOnce(&mut DotScratch) -> T) -> T {
-    let p = pool();
-    let idx = slot_index(p);
-    let mut scratch = {
-        let mut stack = p.slots[idx].lock().expect("scratch slot poisoned");
-        match stack.iter().position(|s| s.b_acc.len() == len) {
-            Some(pos) => {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                cham_telemetry::counter_add!("cham_he.hmvp.scratch.hit", 1);
-                stack.swap_remove(pos)
-            }
-            None => {
-                MISSES.fetch_add(1, Ordering::Relaxed);
-                cham_telemetry::counter_add!("cham_he.hmvp.scratch.miss", 1);
-                DotScratch {
-                    b_acc: vec![0u128; len],
-                    a_acc: vec![0u128; len],
-                }
+    let pooled = STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        let pos = stack.iter().position(|s| s.b_acc.len() == len)?;
+        Some(stack.remove(pos))
+    });
+    let (hits, misses) = THREAD_STATS.with(Cell::get);
+    let mut scratch = match pooled {
+        Some(scratch) => {
+            HITS.fetch_add(1, Ordering::Relaxed);
+            THREAD_STATS.with(|s| s.set((hits + 1, misses)));
+            cham_telemetry::counter_add!("cham_he.hmvp.scratch.hit", 1);
+            scratch
+        }
+        None => {
+            MISSES.fetch_add(1, Ordering::Relaxed);
+            THREAD_STATS.with(|s| s.set((hits, misses + 1)));
+            cham_telemetry::counter_add!("cham_he.hmvp.scratch.miss", 1);
+            DotScratch {
+                b_acc: vec![0u128; len],
+                a_acc: vec![0u128; len],
             }
         }
     };
+    // The stack is not borrowed while `f` runs, so a nested checkout
+    // (e.g. a pool task executed inline on this thread) is fine.
     let out = f(&mut scratch);
-    // Return to the slot we took it from; a worker migrating between
-    // calls only costs a future miss, never correctness.
-    let mut stack = p.slots[idx].lock().expect("scratch slot poisoned");
-    if stack.len() < MAX_PER_SLOT {
+    STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        if stack.len() == MAX_PER_SLOT {
+            stack.remove(0);
+        }
         stack.push(scratch);
-    }
+    });
     out
 }
 
@@ -107,21 +110,25 @@ mod tests {
     #[test]
     fn reuse_is_a_hit_and_misses_stay_flat() {
         let len = 48;
-        let (_, m0) = scratch_stats();
+        // Measured on this thread's own counters: sibling tests checking
+        // out other shapes on other threads cannot move them.
+        let (h0, m0) = thread_scratch_stats();
         with_dot_scratch(len, |s| {
             assert_eq!(s.b_acc.len(), len);
             assert_eq!(s.a_acc.len(), len);
         });
-        let (_, m1) = scratch_stats();
-        let h1 = scratch_stats().0;
+        let (h1, m1) = thread_scratch_stats();
+        assert_eq!((h1, m1), (h0, m0 + 1), "first call was a miss");
         // Every subsequent same-shape call on this thread reuses the buffer.
         for _ in 0..10 {
             with_dot_scratch(len, |_| {});
         }
-        let (h2, m2) = scratch_stats();
+        let (h2, m2) = thread_scratch_stats();
         assert_eq!(m2, m1, "steady state must not allocate");
-        assert!(h2 >= h1 + 10);
-        assert!(m1 > m0, "first call was a miss");
+        assert_eq!(h2, h1 + 10);
+        // The process-wide totals include this thread's activity.
+        let (hits, misses) = scratch_stats();
+        assert!(hits >= h2 && misses >= m2);
     }
 
     #[test]
@@ -134,6 +141,32 @@ mod tests {
         // (FusedAccumulator::new) zero it.
         with_dot_scratch(16, |s| {
             assert_eq!(s.b_acc.len(), 16);
+        });
+    }
+
+    #[test]
+    fn full_stack_keeps_the_shape_in_use() {
+        // Fill the stack with other shapes, then settle on a new one: the
+        // least recently used buffer makes room, so only the first call
+        // of the new shape misses.
+        for len in 1..=MAX_PER_SLOT {
+            with_dot_scratch(len, |_| {});
+        }
+        let (_, m0) = thread_scratch_stats();
+        for _ in 0..5 {
+            with_dot_scratch(100, |_| {});
+        }
+        let (_, m1) = thread_scratch_stats();
+        assert_eq!(m1, m0 + 1);
+        STACK.with(|s| assert_eq!(s.borrow().len(), MAX_PER_SLOT));
+    }
+
+    #[test]
+    fn nested_checkouts_get_distinct_buffers() {
+        with_dot_scratch(8, |outer| {
+            outer.b_acc.fill(1);
+            with_dot_scratch(8, |inner| inner.b_acc.fill(2));
+            assert!(outer.b_acc.iter().all(|&v| v == 1));
         });
     }
 }

@@ -130,22 +130,19 @@ fn render(snap: &IntrospectSnapshot) {
         "caches    keys={} matrices={}   flight traces={} dropped={}",
         snap.key_cache_len, snap.matrix_cache_len, snap.flight_traces, snap.flight_dropped
     );
-    // SIMD dispatch line (v5): a pre-v5 server reports lanes=0 — render
-    // the row only when the server actually sent the quartet.
-    if snap.simd_lanes > 0 {
-        let backend =
-            cham_math::Backend::from_code(snap.simd_backend as u8).map_or("unknown", |b| b.name());
-        let total = snap.simd_vector_elems + snap.simd_tail_elems;
-        let pct = if total > 0 {
-            100.0 * snap.simd_vector_elems as f64 / total as f64
-        } else {
-            0.0
-        };
-        println!(
-            "simd      backend={backend} lanes={} vector_elems={} tail_elems={} ({pct:.1}% vectorized)",
-            snap.simd_lanes, snap.simd_vector_elems, snap.simd_tail_elems
-        );
-    }
+    let backend =
+        cham_math::Backend::from_code(snap.simd_backend as u8).map_or("unknown", |b| b.name());
+    let total = snap.simd_vector_elems + snap.simd_tail_elems;
+    let pct = if total > 0 {
+        100.0 * snap.simd_vector_elems as f64 / total as f64
+    } else {
+        0.0
+    };
+    println!(
+        "simd      backend={backend} lanes={} vector_elems={} tail_elems={} ({pct:.1}% vectorized)",
+        snap.simd_lanes, snap.simd_vector_elems, snap.simd_tail_elems
+    );
+
     if snap.phases.is_empty() {
         println!("phases    (no completed requests yet)");
     } else {
@@ -208,14 +205,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-    let info = client.server_info();
-    if info.version < 3 {
-        eprintln!(
-            "server speaks protocol v{} — introspection needs v3",
-            info.version
-        );
-        return ExitCode::FAILURE;
-    }
 
     let mut polled: u64 = 0;
     loop {

@@ -284,8 +284,8 @@ impl SessionCache {
     }
 
     /// Encodes a plaintext matrix to NTT form (the expensive, reusable
-    /// step) and caches it under the content hash of `bytes` — the raw
-    /// `LoadMatrix` payload it arrived as. Returns the content id.
+    /// step) and caches it under the content hash of `bytes` — the plain
+    /// matrix body it was uploaded as. Returns the content id.
     ///
     /// # Errors
     /// HE-layer encoding errors.
@@ -343,7 +343,7 @@ impl SessionCache {
 
     /// Every matrix content id this node can serve — the RAM LRU and
     /// the persistent store combined, sorted ascending. This is the
-    /// inventory the v6 `StoreList` op reports and the repair planner
+    /// inventory the `StoreList` op reports and the repair planner
     /// diffs against the ring's expected replica sets.
     #[must_use]
     pub fn matrix_inventory(&self) -> Vec<u64> {
@@ -379,7 +379,7 @@ impl SessionCache {
         cham_he::wire::encoded_matrix_to_bytes(&encoded).map_err(ServeError::He)
     }
 
-    /// Installs an encoded matrix received from another replica (the v6
+    /// Installs an encoded matrix received from another replica (the
     /// segment-mode commit path): validates the wire bytes against this
     /// cache's params, inserts into the RAM LRU under `id`, and persists
     /// to the segment store (best-effort, like any fresh encode).

@@ -13,8 +13,7 @@
 
 use crate::cache::content_hash;
 use crate::protocol::{
-    self, FrameKind, Hello, MatrixChunkStart, Response, DEADLINE_NONE, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    self, FrameKind, Hello, MatrixChunkStart, Response, DEADLINE_NONE, PROTOCOL_VERSION,
 };
 use crate::stats::{IntrospectSnapshot, StatsSnapshot};
 use crate::{Result, ServeError};
@@ -42,10 +41,6 @@ pub struct ClientConfig {
     pub read_timeout: Option<Duration>,
     /// Bound on each blocking write.
     pub write_timeout: Option<Duration>,
-    /// Highest protocol revision to offer in the hello (clamped to
-    /// [`PROTOCOL_VERSION`]). Set to [`MIN_PROTOCOL_VERSION`] to force
-    /// v2 framing — useful for interop tests and very old servers.
-    pub protocol_version: u16,
 }
 
 impl Default for ClientConfig {
@@ -54,7 +49,6 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(5),
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
-            protocol_version: PROTOCOL_VERSION,
         }
     }
 }
@@ -65,7 +59,7 @@ impl Default for ClientConfig {
 /// resumed upload avoided re-sending data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkUpload {
-    /// The matrix's content id (same id the monolithic path returns).
+    /// The matrix's content id: `content_hash(matrix_to_bytes(m))`.
     pub matrix_id: u64,
     /// Chunks sent over the wire by this call.
     pub chunks_sent: u32,
@@ -82,10 +76,7 @@ pub struct ServerInfo {
     pub queue_capacity: u32,
     /// Maximum coalesced batch size.
     pub max_batch: u32,
-    /// Negotiated protocol revision this connection speaks.
-    pub version: u16,
-    /// The server's cluster identity (protocol v4; `None` from older
-    /// servers and standalone v4 servers).
+    /// The server's cluster identity (`None` on a standalone server).
     pub cluster: Option<crate::shard::ClusterIdentity>,
 }
 
@@ -99,10 +90,14 @@ pub struct ServeClient {
 impl ServeClient {
     /// Connects with the default timeout policy and performs the hello
     /// exchange, verifying that both sides run the same parameter set
-    /// and protocol revision.
+    /// and protocol revision. A mismatch is one round trip and one typed
+    /// error; nothing is retried.
     ///
     /// # Errors
-    /// Transport errors, or [`ServeError::Incompatible`] on mismatch.
+    /// Transport errors; on a mismatch, [`ServeError::Remote`] with
+    /// [`protocol::ErrorCode::Incompatible`] when the server refuses the
+    /// hello, or [`ServeError::Incompatible`] when this client refuses
+    /// the server's revision echo.
     pub fn connect(addr: impl ToSocketAddrs, params: Arc<ChamParams>) -> Result<Self> {
         Self::connect_with(addr, params, &ClientConfig::default())
     }
@@ -114,37 +109,11 @@ impl ServeClient {
     /// returned if none accepts.
     ///
     /// # Errors
-    /// Transport errors, or [`ServeError::Incompatible`] on mismatch.
+    /// Same as [`Self::connect`].
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         params: Arc<ChamParams>,
         config: &ClientConfig,
-    ) -> Result<Self> {
-        let requested = config.protocol_version.min(PROTOCOL_VERSION);
-        match Self::try_connect(&addr, &params, config, requested) {
-            // A strict pre-negotiation server rejects unknown versions
-            // outright instead of downgrading — over the wire that lands
-            // as a Remote error with the Incompatible code; fall back to
-            // the floor revision once before giving up.
-            Err(
-                ServeError::Incompatible(_)
-                | ServeError::Remote {
-                    code: protocol::ErrorCode::Incompatible,
-                    ..
-                },
-            ) if requested > MIN_PROTOCOL_VERSION => {
-                Self::try_connect(&addr, &params, config, MIN_PROTOCOL_VERSION)
-            }
-            other => other,
-        }
-    }
-
-    /// One connection attempt offering exactly `offer` in the hello.
-    fn try_connect(
-        addr: &impl ToSocketAddrs,
-        params: &Arc<ChamParams>,
-        config: &ClientConfig,
-        offer: u16,
     ) -> Result<Self> {
         let mut last_err: Option<std::io::Error> = None;
         let mut stream = None;
@@ -170,19 +139,15 @@ impl ServeClient {
         stream.set_write_timeout(config.write_timeout)?;
         let mut client = Self {
             stream,
-            params: Arc::clone(params),
+            params,
             info: ServerInfo {
                 workers: 0,
                 queue_capacity: 0,
                 max_batch: 0,
-                version: MIN_PROTOCOL_VERSION,
                 cluster: None,
             },
         };
-        let hello = Hello {
-            version: offer,
-            ..Hello::for_params(&client.params)
-        };
+        let hello = Hello::for_params(&client.params);
         let resp = client.roundtrip(FrameKind::Hello, &hello.to_bytes())?;
         let Response::Hello {
             workers,
@@ -194,13 +159,13 @@ impl ServeClient {
         else {
             return Err(ServeError::BadFrame("hello answered with wrong response"));
         };
+        if version != PROTOCOL_VERSION {
+            return Err(protocol::revision_mismatch(version));
+        }
         client.info = ServerInfo {
             workers,
             queue_capacity,
             max_batch,
-            // The echo is authoritative but never above what we offered —
-            // both sides must agree on the *lower* revision's framing.
-            version: version.min(offer),
             cluster,
         };
         Ok(client)
@@ -250,59 +215,27 @@ impl ServeClient {
     }
 
     /// Uploads a plaintext matrix; the server encodes it to NTT form once
-    /// and caches it under the returned content id.
-    ///
-    /// On a protocol-v5 connection the upload streams in
+    /// and caches it under the returned content id,
+    /// `content_hash(matrix_to_bytes(matrix))`. The upload streams in
     /// [`protocol::DEFAULT_CHUNK_BYTES`] chunks (bounded memory on both
-    /// ends, resumable); against v4-and-older servers it falls back to
-    /// the monolithic single-frame `LoadMatrix`. Both paths return the
-    /// same content id.
+    /// ends, resumable); a matrix that fits in one chunk goes as a
+    /// single chunk.
     ///
     /// # Errors
     /// Transport or server-side validation errors.
     pub fn load_matrix(&mut self, matrix: &Matrix) -> Result<u64> {
-        if self.info.version >= 5 {
-            return self
-                .load_matrix_streamed(matrix, protocol::DEFAULT_CHUNK_BYTES)
-                .map(|u| u.matrix_id);
-        }
-        self.load_matrix_monolithic(matrix)
+        self.load_matrix_streamed(matrix, protocol::DEFAULT_CHUNK_BYTES)
+            .map(|u| u.matrix_id)
     }
 
-    /// Uploads a matrix as one `LoadMatrix` frame regardless of the
-    /// negotiated revision — the pre-v5 wire behavior, kept callable for
-    /// interop tests and peers that must not stream.
-    ///
-    /// # Errors
-    /// Transport or server-side validation errors.
-    pub fn load_matrix_monolithic(&mut self, matrix: &Matrix) -> Result<u64> {
-        let body = protocol::matrix_to_bytes(matrix);
-        match self.roundtrip(FrameKind::LoadMatrix, &body)? {
-            Response::MatrixLoaded {
-                matrix_id,
-                rows,
-                cols,
-            } => {
-                if (rows as usize, cols as usize) != (matrix.rows(), matrix.cols()) {
-                    return Err(ServeError::BadFrame("server accepted a different shape"));
-                }
-                Ok(matrix_id)
-            }
-            _ => Err(ServeError::BadFrame(
-                "load-matrix answered with wrong response",
-            )),
-        }
-    }
-
-    /// Streams a matrix upload in `chunk_bytes`-sized chunks (protocol
-    /// v5): declares the upload, reads the server's received-bitmap,
+    /// Streams a matrix upload in `chunk_bytes`-sized chunks: declares
+    /// the upload, reads the server's received-bitmap,
     /// sends only the chunks the server lacks, and commits. On a fresh
     /// upload every chunk is sent; on a resume after a disconnect the
     /// bitmap makes the re-upload incremental — the returned
     /// [`ChunkUpload`] counts both.
     ///
     /// # Errors
-    /// [`ServeError::Incompatible`] below protocol v5,
     /// [`ServeError::ChunkMismatch`] when the server refuses a chunk's
     /// content check, transport or server-side validation errors.
     pub fn load_matrix_streamed(
@@ -310,76 +243,22 @@ impl ServeClient {
         matrix: &Matrix,
         chunk_bytes: usize,
     ) -> Result<ChunkUpload> {
-        if self.info.version < 5 {
-            return Err(ServeError::Incompatible(
-                "streamed uploads need protocol v5",
-            ));
-        }
         let body = protocol::matrix_to_bytes(matrix);
-        // Clamp the chunk size into the protocol's bounds, growing it if
-        // needed so the count stays under MAX_CHUNK_COUNT (the caps
-        // guarantee a compliant size always exists for a legal body).
-        let chunk_bytes = chunk_bytes
-            .max(body.len().div_ceil(protocol::MAX_CHUNK_COUNT))
-            .clamp(1, protocol::MAX_CHUNK_BYTES);
-        let matrix_id = content_hash(&body);
-        let start = MatrixChunkStart::new(
-            matrix_id,
-            body.len(),
-            chunk_bytes,
-            matrix.rows() as u32,
-            matrix.cols() as u32,
-        );
-        let mut bitmap = self.chunk_ack(FrameKind::MatrixChunkStart, &start.to_bytes(), &start)?;
-        let mut chunks_sent = 0u32;
-        let mut chunks_skipped = 0u32;
-        for index in 0..start.chunk_count {
-            if protocol::bitmap_get(&bitmap, index as usize) {
-                chunks_skipped += 1;
-                continue;
-            }
-            let off = index as usize * chunk_bytes;
-            let data = &body[off..off + start.len_of_chunk(index)];
-            let frame = protocol::matrix_chunk_to_bytes(matrix_id, index, content_hash(data), data);
-            bitmap = self.chunk_ack(FrameKind::MatrixChunk, &frame, &start)?;
-            chunks_sent += 1;
+        let (rows, cols) = (matrix.rows() as u32, matrix.cols() as u32);
+        let (up, committed) = self.stream_body(&body, chunk_bytes, rows, cols)?;
+        if committed != (up.matrix_id, rows, cols) {
+            return Err(ServeError::BadFrame("server committed a different matrix"));
         }
-        match self.roundtrip(
-            FrameKind::MatrixChunkCommit,
-            &protocol::matrix_chunk_commit_to_bytes(matrix_id),
-        )? {
-            Response::MatrixLoaded {
-                matrix_id: id,
-                rows,
-                cols,
-            } => {
-                if id != matrix_id
-                    || (rows as usize, cols as usize) != (matrix.rows(), matrix.cols())
-                {
-                    return Err(ServeError::BadFrame("server committed a different matrix"));
-                }
-                Ok(ChunkUpload {
-                    matrix_id,
-                    chunks_sent,
-                    chunks_skipped,
-                })
-            }
-            _ => Err(ServeError::BadFrame(
-                "chunk commit answered with wrong response",
-            )),
-        }
+        Ok(up)
     }
 
     /// Lists the server's matrix inventory — every content id resident
-    /// in RAM or the persistent store (protocol v6). The repair planner
-    /// diffs this against the ring's expected replica set.
+    /// in RAM or the persistent store. The repair planner diffs this
+    /// against the ring's expected replica set.
     ///
     /// # Errors
-    /// [`ServeError::Incompatible`] below protocol v6, transport errors.
+    /// Transport errors.
     pub fn store_list(&mut self) -> Result<Vec<u64>> {
-        if self.info.version < 6 {
-            return Err(ServeError::Incompatible("store listing needs protocol v6"));
-        }
         match self.roundtrip(FrameKind::StoreList, &[])? {
             Response::StoreListReport { ids } => Ok(ids),
             _ => Err(ServeError::BadFrame(
@@ -388,17 +267,13 @@ impl ServeClient {
         }
     }
 
-    /// Fetches one encoded segment's bytes by content id (protocol v6)
-    /// — the source side of a replica→replica repair transfer.
+    /// Fetches one encoded segment's bytes by content id — the source
+    /// side of a replica→replica repair transfer.
     ///
     /// # Errors
-    /// [`ServeError::Incompatible`] below protocol v6,
     /// [`ServeError::UnknownMatrix`] when the server holds no such
     /// segment, transport errors.
     pub fn store_fetch(&mut self, store_id: u64) -> Result<Vec<u8>> {
-        if self.info.version < 6 {
-            return Err(ServeError::Incompatible("store fetch needs protocol v6"));
-        }
         match self.roundtrip(
             FrameKind::StoreFetch,
             &protocol::store_fetch_to_bytes(store_id),
@@ -419,14 +294,13 @@ impl ServeClient {
     }
 
     /// Streams an already-encoded segment to this server under its
-    /// store id (protocol v6) — the target side of a repair transfer.
+    /// store id — the target side of a repair transfer.
     /// Rides the resumable chunked-upload path end to end: the body is
     /// `[store_id][segment bytes]`, the synthetic upload id is that
     /// body's content hash, so per-chunk checksums, the received-bitmap
     /// resume, and the whole-body verification all apply unchanged.
     ///
     /// # Errors
-    /// [`ServeError::Incompatible`] below protocol v6,
     /// [`ServeError::WrongShard`] when the target does not own the id,
     /// [`ServeError::ChunkMismatch`] on a failed content check,
     /// transport or server-side validation errors.
@@ -436,47 +310,64 @@ impl ServeClient {
         segment: &[u8],
         chunk_bytes: usize,
     ) -> Result<ChunkUpload> {
-        if self.info.version < 6 {
-            return Err(ServeError::Incompatible(
-                "segment transfers need protocol v6",
-            ));
-        }
         let body = protocol::segment_body_to_bytes(store_id, segment);
+        let (up, (id, _, _)) = self.stream_body(&body, chunk_bytes, 0, 0)?;
+        if id != store_id {
+            return Err(ServeError::BadFrame("server installed a different segment"));
+        }
+        Ok(ChunkUpload {
+            matrix_id: store_id,
+            ..up
+        })
+    }
+
+    /// Declares `body` as a chunked upload (`rows = cols = 0` for a
+    /// segment transfer), sends the chunks the server's received-bitmap
+    /// lacks, and commits. Returns the declared upload id with the chunk
+    /// counts, and the commit's `(id, rows, cols)` answer.
+    fn stream_body(
+        &mut self,
+        body: &[u8],
+        chunk_bytes: usize,
+        rows: u32,
+        cols: u32,
+    ) -> Result<(ChunkUpload, (u64, u32, u32))> {
+        // Clamp the chunk size into the protocol's bounds, growing it if
+        // needed so the count stays under MAX_CHUNK_COUNT (the caps
+        // guarantee a compliant size always exists for a legal body).
         let chunk_bytes = chunk_bytes
             .max(body.len().div_ceil(protocol::MAX_CHUNK_COUNT))
             .clamp(1, protocol::MAX_CHUNK_BYTES);
-        let upload_id = content_hash(&body);
-        let start = MatrixChunkStart::for_segment(upload_id, body.len(), chunk_bytes);
+        let upload_id = content_hash(body);
+        let start = MatrixChunkStart::new(upload_id, body.len(), chunk_bytes, rows, cols);
         let mut bitmap = self.chunk_ack(FrameKind::MatrixChunkStart, &start.to_bytes(), &start)?;
-        let mut chunks_sent = 0u32;
-        let mut chunks_skipped = 0u32;
+        let mut up = ChunkUpload {
+            matrix_id: upload_id,
+            chunks_sent: 0,
+            chunks_skipped: 0,
+        };
         for index in 0..start.chunk_count {
             if protocol::bitmap_get(&bitmap, index as usize) {
-                chunks_skipped += 1;
+                up.chunks_skipped += 1;
                 continue;
             }
             let off = index as usize * chunk_bytes;
             let data = &body[off..off + start.len_of_chunk(index)];
             let frame = protocol::matrix_chunk_to_bytes(upload_id, index, content_hash(data), data);
             bitmap = self.chunk_ack(FrameKind::MatrixChunk, &frame, &start)?;
-            chunks_sent += 1;
+            up.chunks_sent += 1;
         }
         match self.roundtrip(
             FrameKind::MatrixChunkCommit,
             &protocol::matrix_chunk_commit_to_bytes(upload_id),
         )? {
-            Response::MatrixLoaded { matrix_id: id, .. } => {
-                if id != store_id {
-                    return Err(ServeError::BadFrame("server installed a different segment"));
-                }
-                Ok(ChunkUpload {
-                    matrix_id: store_id,
-                    chunks_sent,
-                    chunks_skipped,
-                })
-            }
+            Response::MatrixLoaded {
+                matrix_id,
+                rows,
+                cols,
+            } => Ok((up, (matrix_id, rows, cols))),
             _ => Err(ServeError::BadFrame(
-                "segment commit answered with wrong response",
+                "chunk commit answered with wrong response",
             )),
         }
     }
@@ -526,21 +417,16 @@ impl ServeClient {
         cts: &[RlweCiphertext],
         deadline: Option<Duration>,
     ) -> Result<HmvpResult> {
-        // On a v3 connection every request carries a fresh trace id so
-        // the server-side flight recorder can attribute it; v2 framing
-        // has nowhere to put one.
-        let trace_id = if self.info.version >= 3 {
-            TraceId::generate().as_u64()
-        } else {
-            0
-        };
+        // Every request carries a fresh trace id so the server-side
+        // flight recorder can attribute it.
+        let trace_id = TraceId::generate().as_u64();
         self.hmvp_traced(key_id, matrix_id, cts, deadline, trace_id)
             .map(|(result, _)| result)
     }
 
     /// [`Self::hmvp`] with an explicit trace id (to continue a trace the
     /// caller already started). Returns the result together with the id
-    /// actually sent — `0` when the negotiated revision cannot carry one.
+    /// sent (`0` asks the server to assign one).
     ///
     /// # Errors
     /// Same as [`Self::hmvp`].
@@ -557,15 +443,7 @@ impl ServeClient {
                 .unwrap_or(DEADLINE_NONE - 1)
                 .clamp(1, DEADLINE_NONE - 1)
         });
-        let trace_id = if self.info.version >= 3 { trace_id } else { 0 };
-        let body = protocol::hmvp_request_to_bytes(
-            key_id,
-            matrix_id,
-            deadline_ms,
-            trace_id,
-            cts,
-            self.info.version,
-        );
+        let body = protocol::hmvp_request_to_bytes(key_id, matrix_id, deadline_ms, trace_id, cts);
         match self.roundtrip(FrameKind::Hmvp, &body)? {
             Response::HmvpDone { len, packed } => Ok((
                 HmvpResult {
@@ -582,7 +460,7 @@ impl ServeClient {
     /// counters, queue/pool occupancy, and per-phase latency histograms.
     ///
     /// # Errors
-    /// Transport errors, or `BadFrame` from a pre-v3 server.
+    /// Transport errors.
     pub fn introspect(&mut self) -> Result<IntrospectSnapshot> {
         match self.roundtrip(FrameKind::Introspect, &[])? {
             Response::IntrospectReport { snapshot } => Ok(snapshot),
@@ -596,7 +474,7 @@ impl ServeClient {
     /// it in Perfetto, or parse with `cham_telemetry::trace_reader`).
     ///
     /// # Errors
-    /// Transport errors, or `BadFrame` from a pre-v3 server.
+    /// Transport errors.
     pub fn flight_dump(&mut self) -> Result<String> {
         match self.roundtrip(FrameKind::FlightDump, &[])? {
             Response::FlightDump { json } => Ok(json),

@@ -39,7 +39,7 @@
 //! operation's attempts and sleeps; when the budget is exhausted the
 //! last error surfaces rather than another sleep starting.
 
-use crate::client::{ChunkUpload, ClientConfig, ServeClient, ServerInfo};
+use crate::client::{ClientConfig, ServeClient, ServerInfo};
 use crate::faults::SplitMix64;
 use crate::protocol::{self, ErrorCode};
 use crate::stats::{IntrospectSnapshot, StatsSnapshot};
@@ -352,8 +352,7 @@ pub struct RetryStatsSnapshot {
     /// Endpoint switches: times a failure moved this client off its
     /// current endpoint toward a different one.
     pub failovers: u64,
-    /// Matrix chunks actually sent over the wire by streamed uploads
-    /// (protocol v5).
+    /// Matrix chunks actually sent over the wire by streamed uploads.
     pub chunks_sent: u64,
     /// Matrix chunks a streamed upload skipped because the server's
     /// received-bitmap already held them — the measure of how much a
@@ -527,7 +526,7 @@ impl RetryClient {
     /// # Errors
     /// The last error once the policy's attempts/budget are exhausted.
     pub fn load_matrix(&mut self, matrix: &Matrix) -> Result<u64> {
-        let up = self.run(|c| upload_matrix(c, matrix))?;
+        let up = self.run(|c| c.load_matrix_streamed(matrix, protocol::DEFAULT_CHUNK_BYTES))?;
         self.stats.chunks_sent += u64::from(up.chunks_sent);
         self.stats.chunks_skipped += u64::from(up.chunks_skipped);
         self.matrix_uploads.insert(up.matrix_id, matrix.clone());
@@ -647,7 +646,7 @@ impl RetryClient {
             // refresh its topology map. Retrying here would hammer the
             // same wrong shard forever.
             ServeError::WrongShard { .. } => false,
-            // Version/parameter mismatch, HE failure, expired deadline:
+            // Revision/parameter mismatch, HE failure, expired deadline:
             // retrying proves nothing.
             _ => false,
         }
@@ -730,11 +729,10 @@ impl RetryClient {
         self.stats.reuploads += done;
     }
 
-    /// Best-effort replay of an uploaded matrix after an eviction. On a
-    /// v5 connection the replay streams chunked and *resumable*: the
-    /// server's received-bitmap (which survives reconnects) scopes the
-    /// replay to the chunks it is actually missing, instead of the
-    /// pre-v5 whole-matrix re-send.
+    /// Best-effort replay of an uploaded matrix after an eviction. The
+    /// replay streams chunked and *resumable*: the server's
+    /// received-bitmap (which survives reconnects) scopes it to the
+    /// chunks the server is actually missing.
     fn reupload_matrix(&mut self, id: u64) {
         let targets: Vec<Matrix> = if let Some(m) = self.matrix_uploads.get(&id) {
             vec![m.clone()]
@@ -746,7 +744,7 @@ impl RetryClient {
         let mut skipped = 0u64;
         if let Ok(client) = self.ensure_connected() {
             for m in &targets {
-                if let Ok(up) = upload_matrix(client, m) {
+                if let Ok(up) = client.load_matrix_streamed(m, protocol::DEFAULT_CHUNK_BYTES) {
                     done += 1;
                     sent += u64::from(up.chunks_sent);
                     skipped += u64::from(up.chunks_skipped);
@@ -756,22 +754,6 @@ impl RetryClient {
         self.stats.reuploads += done;
         self.stats.chunks_sent += sent;
         self.stats.chunks_skipped += skipped;
-    }
-}
-
-/// Uploads a matrix the best way the connection's revision allows:
-/// streamed-resumable on v5, monolithic below (reported as zero chunks).
-fn upload_matrix(client: &mut ServeClient, matrix: &Matrix) -> Result<ChunkUpload> {
-    if client.server_info().version >= 5 {
-        client.load_matrix_streamed(matrix, protocol::DEFAULT_CHUNK_BYTES)
-    } else {
-        client
-            .load_matrix_monolithic(matrix)
-            .map(|matrix_id| ChunkUpload {
-                matrix_id,
-                chunks_sent: 0,
-                chunks_skipped: 0,
-            })
     }
 }
 
@@ -836,7 +818,7 @@ mod tests {
         }));
         // Non-retryable:
         assert!(!client.recover(&ServeError::TimedOut));
-        assert!(!client.recover(&ServeError::Incompatible("version")));
+        assert!(!client.recover(&ServeError::Incompatible("version".into())));
         assert!(!client.recover(&ServeError::He(cham_he::HeError::NoiseBudgetExhausted)));
         assert!(!client.recover(&ServeError::Remote {
             code: ErrorCode::Incompatible,

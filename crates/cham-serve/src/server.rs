@@ -90,8 +90,8 @@ pub struct ServerConfig {
     /// the wire via the `FlightDump` op regardless).
     pub flight_dump_path: Option<PathBuf>,
     /// Cluster membership (`None` = standalone). A shard-configured
-    /// server enforces ring ownership: `LoadMatrix`/`Hmvp` requests
-    /// whose content hash it does not own are answered with a typed
+    /// server enforces ring ownership: matrix uploads and `Hmvp`
+    /// requests whose content hash it does not own are answered with a typed
     /// [`ServeError::WrongShard`] carrying the ring epoch, so stale
     /// clients refresh their topology instead of retrying blindly.
     /// Galois key uploads are exempt — every shard needs the keys.
@@ -197,7 +197,7 @@ impl ServerShared {
         }
     }
 
-    /// The identity block a v4 hello response advertises (`None` when
+    /// The identity block the hello response advertises (`None` when
     /// this server is standalone).
     fn cluster_identity(&self) -> Option<ClusterIdentity> {
         self.config.shard.as_ref().map(|s| ClusterIdentity {
@@ -525,9 +525,6 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
     let config = &shared.config;
     let stats = &shared.stats;
     let faults = config.faults.as_deref();
-    // Until a Hello negotiates otherwise, speak the floor version — a
-    // peer that skips Hello gets v2 framing (no trace ids).
-    let mut version: u16 = protocol::MIN_PROTOCOL_VERSION;
     loop {
         let (kind, mut body) =
             match read_frame_interruptible(&mut stream, &shared.shutdown, config.max_frame_bytes) {
@@ -569,7 +566,7 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
                 body.truncate(body.len() - 1);
             }
         }
-        match handle_frame(kind, &body, shared, &mut version) {
+        match handle_frame(kind, &body, shared) {
             Ok(outcome) => {
                 let trace_id = outcome.trace.as_ref().map(|(rec, _, _)| rec.trace_id());
                 if let Some(f) = faults {
@@ -623,14 +620,9 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
                         // Scatter-gather write: ciphertext payloads go to
                         // the socket from where they already are instead
                         // of through one contiguous staging copy.
-                        let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-                        protocol::write_frame_vectored(&mut stream, FrameKind::Result, &slices)?;
+                        write_reply(&mut stream, stats, &parts)?;
                     }
-                    None => {
-                        let parts = outcome.response.to_parts();
-                        let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-                        protocol::write_frame_vectored(&mut stream, FrameKind::Result, &slices)?;
-                    }
+                    None => write_reply(&mut stream, stats, &outcome.response.to_parts())?,
                 }
             }
             Err(e) => {
@@ -645,30 +637,28 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<()>
     }
 }
 
-/// Dispatches one request frame to the cache/scheduler. `version` is the
-/// connection's negotiated protocol version: it starts at the floor and
-/// is updated in place when a `Hello` negotiates higher.
-fn handle_frame(
-    kind: FrameKind,
-    body: &[u8],
-    shared: &ServerShared,
-    version: &mut u16,
-) -> Result<FrameOutcome> {
+/// Writes one reply through the scatter-gather writer and counts it.
+fn write_reply(stream: &mut TcpStream, stats: &ServeStats, parts: &[Vec<u8>]) -> Result<()> {
+    let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+    protocol::write_frame_vectored(stream, FrameKind::Result, &slices)?;
+    stats.on_vectored_write(slices.len());
+    Ok(())
+}
+
+/// Dispatches one request frame to the cache/scheduler.
+fn handle_frame(kind: FrameKind, body: &[u8], shared: &ServerShared) -> Result<FrameOutcome> {
     let cache = &shared.cache;
     let scheduler = &shared.scheduler;
     let stats = &shared.stats;
     let config = &shared.config;
     match kind {
         FrameKind::Hello => {
-            let hello = Hello::from_bytes(body)?;
-            let negotiated = hello.check(cache.params())?;
-            *version = negotiated;
+            Hello::from_bytes(body)?.check(cache.params())?;
             Ok(FrameOutcome::plain(Response::Hello {
                 workers: config.workers as u16,
                 queue_capacity: scheduler.capacity() as u32,
                 max_batch: scheduler.max_batch() as u32,
-                version: negotiated,
-                // Serialized only when the negotiated revision is ≥ 4.
+                version: protocol::PROTOCOL_VERSION,
                 cluster: shared.cluster_identity(),
             }))
         }
@@ -700,26 +690,12 @@ fn handle_frame(
             let key_id = cache.put_keys_bytes(body)?;
             Ok(FrameOutcome::plain(Response::KeysLoaded { key_id }))
         }
-        FrameKind::LoadMatrix => {
-            // Ownership is enforced before the (expensive) NTT encode:
-            // a misrouted upload costs the cluster nothing but the
-            // frame, and the typed reply tells the client which map
-            // revision to refresh against.
-            shared.check_owned(content_hash(body))?;
-            let matrix = protocol::matrix_from_bytes(body, cache.params())?;
-            let matrix_id = cache.put_matrix(body, &matrix)?;
-            Ok(FrameOutcome::plain(Response::MatrixLoaded {
-                matrix_id,
-                rows: matrix.rows() as u32,
-                cols: matrix.cols() as u32,
-            }))
-        }
         FrameKind::Hmvp => {
-            let req = protocol::hmvp_request_from_bytes(body, cache.params(), *version)?;
+            let req = protocol::hmvp_request_from_bytes(body, cache.params())?;
             shared.check_owned(req.matrix_id)?;
             // A client-stamped id continues the client's trace; an unset
-            // or v2 request gets a server-side id so every request shows
-            // up in the flight recorder either way.
+            // one gets a server-side id so every request shows up in the
+            // flight recorder either way.
             let trace_id = TraceId::from_wire(req.trace_id).unwrap_or_else(TraceId::generate);
             let trace = Arc::new(SpanRecorder::new(trace_id));
             let started = Instant::now();
@@ -743,7 +719,7 @@ fn handle_frame(
             let matrix = cache.get_matrix(req.matrix_id)?;
             if req.cts.len() != matrix.col_tiles() {
                 return Err(ServeError::Incompatible(
-                    "ciphertext count does not match the matrix's column tiles",
+                    "ciphertext count does not match the matrix's column tiles".into(),
                 ));
             }
             let deadline = if req.deadline_ms == protocol::DEADLINE_NONE {
@@ -792,30 +768,22 @@ fn handle_frame(
             })
         }
         FrameKind::MatrixChunkStart => {
-            if *version < 5 {
-                return Err(ServeError::Incompatible(
-                    "streamed uploads need protocol v5",
-                ));
-            }
             let start = protocol::MatrixChunkStart::from_bytes(body)?;
-            if start.is_segment() {
-                // Repair transfers need the v6 segment framing; ownership
-                // is enforced against the *store id* inside the body at
-                // commit time — the upload id here is a synthetic content
-                // hash of the prefixed body, which the ring never keyed.
-                if *version < 6 {
-                    return Err(ServeError::Incompatible(
-                        "segment transfers need protocol v6",
-                    ));
-                }
-            } else {
+            // Ownership is enforced before any assembly memory is spent:
+            // a misrouted upload costs the cluster nothing but the frame,
+            // and the typed reply carries the ring epoch the client must
+            // refresh against. Segment transfers are checked against the
+            // *store id* inside the body at commit time instead — their
+            // upload id is a synthetic content hash of the prefixed body,
+            // which the ring never keyed.
+            if !start.is_segment() {
                 shared.check_owned(start.matrix_id)?;
             }
             let bitmap_len = (start.chunk_count as usize).div_ceil(8);
             // Already resident (RAM, or restored from the persistent
             // store): ack everything received so the client skips
-            // straight to commit — content addressing makes the
-            // streamed re-upload as idempotent as the monolithic one.
+            // straight to commit — content addressing makes the re-upload
+            // idempotent.
             if !start.is_segment() && cache.get_matrix(start.matrix_id).is_ok() {
                 let mut bitmap = vec![0u8; bitmap_len];
                 for i in 0..start.chunk_count as usize {
@@ -880,11 +848,6 @@ fn handle_frame(
             }))
         }
         FrameKind::MatrixChunk => {
-            if *version < 5 {
-                return Err(ServeError::Incompatible(
-                    "streamed uploads need protocol v5",
-                ));
-            }
             let (matrix_id, index, checksum, data) = protocol::matrix_chunk_from_bytes(body)?;
             let mut uploads = shared.uploads.lock().expect("uploads table poisoned");
             let asm = uploads
@@ -920,11 +883,6 @@ fn handle_frame(
             }))
         }
         FrameKind::MatrixChunkCommit => {
-            if *version < 5 {
-                return Err(ServeError::Incompatible(
-                    "streamed uploads need protocol v5",
-                ));
-            }
             let matrix_id = protocol::matrix_chunk_commit_from_bytes(body)?;
             let asm = {
                 let mut uploads = shared.uploads.lock().expect("uploads table poisoned");
@@ -989,9 +947,6 @@ fn handle_frame(
             }))
         }
         FrameKind::StoreList => {
-            if *version < 6 {
-                return Err(ServeError::Incompatible("store listing needs protocol v6"));
-            }
             if !body.is_empty() {
                 return Err(ServeError::BadFrame("store-list frame with a body"));
             }
@@ -1000,9 +955,6 @@ fn handle_frame(
             }))
         }
         FrameKind::StoreFetch => {
-            if *version < 6 {
-                return Err(ServeError::Incompatible("store fetch needs protocol v6"));
-            }
             let store_id = protocol::store_fetch_from_bytes(body)?;
             let bytes = cache.segment_bytes(store_id)?;
             counter_add!("cham_serve.chunks.segments_served", 1);

@@ -35,6 +35,8 @@ pub struct ServeStats {
     rejected_shutdown: AtomicU64,
     faults_injected: AtomicU64,
     reaped_uploads: AtomicU64,
+    vectored_writes: AtomicU64,
+    gathered_parts: AtomicU64,
 }
 
 impl ServeStats {
@@ -100,6 +102,14 @@ impl ServeStats {
         self.reaped_uploads.fetch_add(n as u64, Ordering::Relaxed);
     }
 
+    /// One reply frame went out through the scatter-gather writer,
+    /// its body in `parts` buffers.
+    pub fn on_vectored_write(&self, parts: usize) {
+        self.vectored_writes.fetch_add(1, Ordering::Relaxed);
+        self.gathered_parts
+            .fetch_add(parts as u64, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy of every counter.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
@@ -116,6 +126,8 @@ impl ServeStats {
             rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             reaped_uploads: self.reaped_uploads.load(Ordering::Relaxed),
+            vectored_writes: self.vectored_writes.load(Ordering::Relaxed),
+            gathered_parts: self.gathered_parts.load(Ordering::Relaxed),
         }
     }
 }
@@ -147,8 +159,13 @@ pub struct StatsSnapshot {
     /// Fault-injection sites that fired (0 on a production server).
     pub faults_injected: u64,
     /// Pending chunk-upload assemblies reaped for idling past the
-    /// configured deadline (protocol v6, additive).
+    /// configured deadline.
     pub reaped_uploads: u64,
+    /// Reply frames written through the scatter-gather writer.
+    pub vectored_writes: u64,
+    /// Body buffers those frames were gathered from (above
+    /// `vectored_writes` exactly when replies skipped a staging copy).
+    pub gathered_parts: u64,
 }
 
 impl StatsSnapshot {
@@ -170,7 +187,7 @@ impl StatsSnapshot {
 /// One histogram per canonical phase (see
 /// [`cham_telemetry::span::phase`]), plus `total` (end-to-end
 /// queue→reply) and `matrix_encode` (the NTT-encode cost paid once per
-/// `LoadMatrix`, outside any traced request).
+/// committed matrix upload, outside any traced request).
 #[derive(Debug, Default)]
 pub struct PhaseHistograms {
     queue: LiveHistogram,
@@ -186,7 +203,7 @@ pub struct PhaseHistograms {
 
 /// End-to-end request latency pseudo-phase name.
 pub const PHASE_TOTAL: &str = "total";
-/// Matrix NTT-encode pseudo-phase name (per `LoadMatrix`, not per
+/// Matrix NTT-encode pseudo-phase name (per matrix upload, not per
 /// request).
 pub const PHASE_MATRIX_ENCODE: &str = "matrix_encode";
 
@@ -317,7 +334,7 @@ pub struct IntrospectSnapshot {
     /// Request traces evicted from the flight recorder ring so far.
     pub flight_dropped: u64,
     /// Operator-assigned node id (`0` = unset) — distinguishes a fleet
-    /// of `cham-serve-top` reports (protocol v4, additive).
+    /// of `cham-serve-top` reports.
     pub node_id: u64,
     /// The ring slot this server serves (`0` when standalone — check
     /// `shard_count` to tell the difference).
@@ -325,7 +342,7 @@ pub struct IntrospectSnapshot {
     /// Total ring slots in the server's cluster (`0` = standalone).
     pub shard_count: u32,
     /// Resolved SIMD backend code (`cham_math::Backend::code`):
-    /// 0 = scalar, 1 = avx2, 2 = neon (protocol v5, additive).
+    /// 0 = scalar, 1 = avx2, 2 = neon.
     pub simd_backend: u32,
     /// Lane width of the resolved backend (1 = scalar fallback).
     pub simd_lanes: u32,
@@ -356,9 +373,9 @@ impl IntrospectSnapshot {
             ("internal_errors".into(), s.internal_errors.into()),
             ("rejected_shutdown".into(), s.rejected_shutdown.into()),
             ("faults_injected".into(), s.faults_injected.into()),
-            // v6: additive key, same compatibility rule as the ones
-            // appended before it.
             ("reaped_uploads".into(), s.reaped_uploads.into()),
+            ("vectored_writes".into(), s.vectored_writes.into()),
+            ("gathered_parts".into(), s.gathered_parts.into()),
         ]);
         let phases = JsonValue::Array(
             self.phases
@@ -396,12 +413,9 @@ impl IntrospectSnapshot {
             ("pool_steals".into(), self.pool_steals.into()),
             ("flight_traces".into(), u64::from(self.flight_traces).into()),
             ("flight_dropped".into(), self.flight_dropped.into()),
-            // Node identity (v4): additive keys — consumers of the v1
-            // schema that predate them keep parsing unchanged.
             ("node_id".into(), self.node_id.into()),
             ("shard_index".into(), u64::from(self.shard_index).into()),
             ("shard_count".into(), u64::from(self.shard_count).into()),
-            // SIMD dispatch (v5): additive keys, same compatibility rule.
             ("simd_backend".into(), u64::from(self.simd_backend).into()),
             ("simd_lanes".into(), u64::from(self.simd_lanes).into()),
             ("simd_vector_elems".into(), self.simd_vector_elems.into()),
@@ -438,6 +452,8 @@ mod tests {
         s.on_fault_injected();
         s.on_fault_injected();
         s.on_reaped_uploads(2);
+        s.on_vectored_write(3);
+        s.on_vectored_write(1);
         let snap = s.snapshot();
         assert_eq!(snap.accepted, 2);
         assert_eq!(snap.rejected_busy, 1);
@@ -451,6 +467,8 @@ mod tests {
         assert_eq!(snap.rejected_shutdown, 1);
         assert_eq!(snap.faults_injected, 3);
         assert_eq!(snap.reaped_uploads, 2);
+        assert_eq!(snap.vectored_writes, 2);
+        assert_eq!(snap.gathered_parts, 4);
         assert!((snap.avg_batch_size() - 3.0).abs() < f64::EPSILON);
         assert_eq!(StatsSnapshot::default().avg_batch_size(), 0.0);
     }

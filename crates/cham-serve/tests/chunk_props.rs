@@ -1,10 +1,11 @@
-//! Property tests for the streamed chunked-upload protocol (v5).
+//! Property tests for the streamed chunked-upload protocol.
 //!
-//! The invariant under test: *however* a matrix reaches the server —
-//! one monolithic `LoadMatrix` frame, orderly chunks, shuffled chunks,
-//! duplicated chunks, or a resumed upload after a disconnect — it lands
-//! under the same content address and serves the same bytes. The chunk
-//! protocol is a transport detail; content addressing is the contract.
+//! The invariant under test: *however* a matrix reaches the server — one
+//! chunk, orderly chunks of any size, shuffled chunks, duplicated chunks,
+//! or a resumed upload after a disconnect — it lands under its content
+//! address `content_hash(matrix_to_bytes(m))` and serves the same bytes.
+//! The chunking is a transport detail; content addressing is the
+//! contract.
 //!
 //! Uses the insecure N=256 test parameters; every case runs a real
 //! server on an ephemeral loopback port.
@@ -42,7 +43,7 @@ fn matrix_from_cells(rows: usize, cols: usize, cells: &[u64]) -> Matrix {
     Matrix::from_data(rows, cols, data).unwrap()
 }
 
-/// A raw protocol-v5 connection: hello exchanged, ready for hand-built
+/// A raw connection: hello exchanged, ready for hand-built
 /// frames. Lets a test send chunks in whatever order it likes.
 fn raw_connect(server: &Server) -> TcpStream {
     let mut s = TcpStream::connect(server.local_addr()).unwrap();
@@ -67,12 +68,11 @@ fn roundtrip_ack(s: &mut TcpStream, kind: FrameKind, body: &[u8]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Streamed and monolithic uploads of the same matrix resolve to the
-    /// same content address — for arbitrary shapes and chunk sizes,
-    /// including chunk sizes that leave a short final chunk or exceed
-    /// the whole body.
+    /// A streamed upload resolves to the content hash of the matrix body
+    /// — for arbitrary shapes and chunk sizes, including chunk sizes
+    /// that leave a short final chunk or exceed the whole body.
     #[test]
-    fn streamed_upload_matches_monolithic_content_address(
+    fn streamed_upload_matches_content_address(
         rows in 1usize..5,
         cols in 1usize..9,
         chunk_bytes in 1usize..700,
@@ -83,7 +83,6 @@ proptest! {
         let body = protocol::matrix_to_bytes(&matrix);
 
         let mut streaming = ServeClient::connect(server.local_addr(), Arc::clone(params())).unwrap();
-        prop_assert!(streaming.server_info().version >= 5);
         let up = streaming.load_matrix_streamed(&matrix, chunk_bytes).unwrap();
         prop_assert_eq!(up.matrix_id, content_hash(&body));
         // A fresh upload sends every chunk and skips none.
@@ -91,10 +90,10 @@ proptest! {
         prop_assert_eq!(up.chunks_sent as usize, body.len().div_ceil(clamped));
         prop_assert_eq!(up.chunks_skipped, 0);
 
-        // The monolithic path dedups onto the very same cache entry.
-        let mut mono = ServeClient::connect(server.local_addr(), Arc::clone(params())).unwrap();
-        let mono_id = mono.load_matrix_monolithic(&matrix).unwrap();
-        prop_assert_eq!(mono_id, up.matrix_id);
+        // A default-chunked upload — one chunk at these sizes — dedups
+        // onto the very same cache entry.
+        let mut other = ServeClient::connect(server.local_addr(), Arc::clone(params())).unwrap();
+        prop_assert_eq!(other.load_matrix(&matrix).unwrap(), up.matrix_id);
         prop_assert_eq!(server.cache().lens().1, 1);
         server.shutdown();
     }
@@ -152,10 +151,10 @@ proptest! {
             }
             other => panic!("expected MatrixLoaded, got {other:?}"),
         }
-        // The entry is byte-equivalent to a monolithic upload: a second
-        // client's monolithic load dedups onto it without growing the cache.
-        let mut mono = ServeClient::connect(server.local_addr(), Arc::clone(params())).unwrap();
-        prop_assert_eq!(mono.load_matrix_monolithic(&matrix).unwrap(), matrix_id);
+        // The entry is byte-equivalent to a one-chunk upload: a second
+        // client's load dedups onto it without growing the cache.
+        let mut other = ServeClient::connect(server.local_addr(), Arc::clone(params())).unwrap();
+        prop_assert_eq!(other.load_matrix(&matrix).unwrap(), matrix_id);
         prop_assert_eq!(server.cache().lens().1, 1);
         server.shutdown();
     }

@@ -1,13 +1,7 @@
-//! Protocol v4↔v5 interop for the streamed-upload path, both skew
-//! directions, plus the wire-level negatives: oversize chunks,
-//! out-of-range indexes, and checksum mismatches must come back as
-//! *typed* errors before the server commits a byte to its assembly.
-//!
-//! Interop contract: the chunk frames exist only on a connection that
-//! negotiated v5. A v4 (or older) peer on either side of the socket
-//! falls back to the monolithic `LoadMatrix` — whose body bytes are
-//! unchanged since v1, which is what "byte-exact v4 frames" means here
-//! and what the rogue-server direction asserts literally.
+//! The streamed-upload path on the wire: an end-to-end verified
+//! one-chunk upload, and the wire-level negatives — oversize chunks, out-of-range indexes, and checksum
+//! mismatches must come back as *typed* errors before the server commits
+//! a byte to its assembly.
 
 use cham_he::encrypt::{Decryptor, Encryptor};
 use cham_he::hmvp::{Hmvp, Matrix};
@@ -16,12 +10,11 @@ use cham_he::params::ChamParams;
 use cham_serve::cache::content_hash;
 use cham_serve::protocol::{
     self, ErrorCode, FrameKind, Hello, MatrixChunkStart, Response, MAX_CHUNK_BYTES,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use cham_serve::server::{Server, ServerConfig};
-use cham_serve::{ClientConfig, ServeClient, ServeError};
+use cham_serve::{ServeClient, ServeError};
 use rand::{Rng, SeedableRng};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 
 struct Fixture {
@@ -65,7 +58,7 @@ fn test_matrix(seed: u64) -> Matrix {
     Matrix::random(4, 32, f.params.plain_modulus().value(), &mut rng)
 }
 
-/// Raw v5 session against a real server: hello exchanged, ready for
+/// Raw session against a real server: hello exchanged, ready for
 /// hand-built chunk frames.
 fn raw_connect(server: &Server) -> TcpStream {
     let f = fixture();
@@ -85,36 +78,27 @@ fn roundtrip_err(s: &mut TcpStream, kind: FrameKind, body: &[u8]) -> (ErrorCode,
     protocol::error_from_body(&body).unwrap()
 }
 
-/// Old client, new server: a v4 client negotiates v4 against a v5
-/// server and uploads monolithically; HMVPs verify end to end, and the
-/// v5-only chunk frames are refused on that connection.
+/// Against a real server, a matrix whose body fits in one chunk uploads
+/// as start, one chunk, commit under the content id
+/// `content_hash(matrix_to_bytes(m))` — the server re-hashes the
+/// reassembled body against that id at commit — and serves verified
+/// HMVPs end to end.
 #[test]
-fn v4_client_interops_with_v5_server() {
+fn one_chunk_upload_serves_verified_hmvps() {
     let f = fixture();
     let server = start_server();
-    let mut client = ServeClient::connect_with(
-        server.local_addr(),
-        Arc::clone(&f.params),
-        &ClientConfig {
-            protocol_version: 4,
-            ..ClientConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(client.server_info().version, 4);
-
+    let mut client = ServeClient::connect(server.local_addr(), Arc::clone(&f.params)).unwrap();
     let matrix = test_matrix(0x41);
     let body = protocol::matrix_to_bytes(&matrix);
-    // load_matrix on a v4 connection takes the monolithic path — same
-    // content id the streamed path would produce.
-    let matrix_id = client.load_matrix(&matrix).unwrap();
-    assert_eq!(matrix_id, content_hash(&body));
-    // A v4 connection asking to stream is a protocol violation the
-    // client refuses locally with the same typed error the server uses.
-    let err = client
+    assert!(body.len() <= protocol::DEFAULT_CHUNK_BYTES);
+    let up = client
         .load_matrix_streamed(&matrix, protocol::DEFAULT_CHUNK_BYTES)
-        .unwrap_err();
-    assert!(matches!(err, ServeError::Incompatible(_)), "got {err:?}");
+        .unwrap();
+    assert_eq!((up.chunks_sent, up.chunks_skipped), (1, 0));
+    assert_eq!(up.matrix_id, content_hash(&body));
+    // load_matrix takes the same path and dedups onto the same entry.
+    assert_eq!(client.load_matrix(&matrix).unwrap(), up.matrix_id);
+    assert_eq!(server.cache().lens().1, 1);
 
     let key_id = client.load_keys(&f.gkeys, &f.indices).unwrap();
     let t = f.params.plain_modulus();
@@ -126,130 +110,10 @@ fn v4_client_interops_with_v5_server() {
         .map(|_| rng.gen_range(0..t.value()))
         .collect();
     let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
-    let result = client.hmvp(key_id, matrix_id, &cts, None).unwrap();
+    let result = client.hmvp(key_id, up.matrix_id, &cts, None).unwrap();
     let got = hmvp.decrypt_result(&result, &dec).unwrap();
     assert_eq!(got, matrix.mul_vector_mod(&v, t).unwrap());
     server.shutdown();
-}
-
-/// The chunk frames themselves are version-gated server-side: a raw
-/// connection that negotiated v4 and then sends `MatrixChunkStart`
-/// gets a typed `Incompatible`, not an assembly slot.
-#[test]
-fn server_refuses_chunk_frames_below_v5() {
-    let f = fixture();
-    let server = start_server();
-    let mut s = TcpStream::connect(server.local_addr()).unwrap();
-    let mut hello = Hello::for_params(&f.params);
-    hello.version = 4;
-    protocol::write_frame(&mut s, FrameKind::Hello, &hello.to_bytes()).unwrap();
-    let (kind, _) = protocol::read_frame(&mut s).unwrap();
-    assert_eq!(kind, FrameKind::Result);
-
-    let matrix = test_matrix(0x43);
-    let body = protocol::matrix_to_bytes(&matrix);
-    let start = MatrixChunkStart::new(content_hash(&body), body.len(), 64, 4, 32);
-    let (code, _) = roundtrip_err(&mut s, FrameKind::MatrixChunkStart, &start.to_bytes());
-    assert_eq!(code, ErrorCode::Incompatible);
-    server.shutdown();
-}
-
-/// New client, old server (graceful downgrade): a server that echoes v4
-/// in its hello response receives the upload as one monolithic
-/// `LoadMatrix` frame whose bytes are exactly the v4 encoding — no
-/// chunk frame ever reaches the socket.
-#[test]
-fn v5_client_falls_back_to_monolithic_against_v4_server() {
-    let f = fixture();
-    let matrix = test_matrix(0x44);
-    let expect_body = protocol::matrix_to_bytes(&matrix);
-    let expect_id = content_hash(&expect_body);
-
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let params = Arc::clone(&f.params);
-    let handle = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        let (kind, body) = protocol::read_frame(&mut stream).unwrap();
-        assert_eq!(kind, FrameKind::Hello);
-        let hello = Hello::from_bytes(&body).unwrap();
-        // The v5 client leads with its best offer…
-        assert_eq!(hello.version, PROTOCOL_VERSION);
-        // …and this server only speaks v4.
-        let resp = Response::Hello {
-            workers: 1,
-            queue_capacity: 8,
-            max_batch: 4,
-            version: 4,
-            cluster: None,
-        };
-        protocol::write_frame(&mut stream, FrameKind::Result, &resp.to_bytes()).unwrap();
-        // The upload must arrive as one byte-exact v4 LoadMatrix frame.
-        let (kind, body) = protocol::read_frame(&mut stream).unwrap();
-        assert_eq!(kind, FrameKind::LoadMatrix);
-        let resp = Response::MatrixLoaded {
-            matrix_id: content_hash(&body),
-            rows: 4,
-            cols: 32,
-        };
-        protocol::write_frame(&mut stream, FrameKind::Result, &resp.to_bytes()).unwrap();
-        let _ = params;
-        body
-    });
-
-    let mut client = ServeClient::connect(addr, Arc::clone(&f.params)).unwrap();
-    assert_eq!(client.server_info().version, 4);
-    let id = client.load_matrix(&matrix).unwrap();
-    assert_eq!(id, expect_id);
-    drop(client);
-    let wire_body = handle.join().unwrap();
-    assert_eq!(
-        wire_body, expect_body,
-        "v4 LoadMatrix body must be byte-exact"
-    );
-}
-
-/// New client, *strict* old server: a pre-negotiation server that
-/// rejects the v5 offer outright still interops — the client re-offers
-/// the floor revision once and uploads monolithically.
-#[test]
-fn v5_client_survives_strict_rejecting_server() {
-    let f = fixture();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || {
-        let mut offers = Vec::new();
-        for _ in 0..2 {
-            let (mut stream, _) = listener.accept().unwrap();
-            let (kind, body) = protocol::read_frame(&mut stream).unwrap();
-            assert_eq!(kind, FrameKind::Hello);
-            let hello = Hello::from_bytes(&body).unwrap();
-            offers.push(hello.version);
-            if hello.version > MIN_PROTOCOL_VERSION {
-                let body =
-                    protocol::error_body(ErrorCode::Incompatible, "unknown protocol version");
-                protocol::write_frame(&mut stream, FrameKind::Error, &body).unwrap();
-                continue;
-            }
-            let resp = Response::Hello {
-                workers: 1,
-                queue_capacity: 8,
-                max_batch: 4,
-                version: MIN_PROTOCOL_VERSION,
-                cluster: None,
-            };
-            protocol::write_frame(&mut stream, FrameKind::Result, &resp.to_bytes()).unwrap();
-            return offers;
-        }
-        panic!("client never fell back (offers: {offers:?})");
-    });
-    let client = ServeClient::connect(addr, Arc::clone(&f.params)).unwrap();
-    assert_eq!(client.server_info().version, MIN_PROTOCOL_VERSION);
-    drop(client);
-    assert_eq!(
-        handle.join().unwrap(),
-        vec![PROTOCOL_VERSION, MIN_PROTOCOL_VERSION]
-    );
 }
 
 /// An oversize chunk-size declaration is refused before the server

@@ -5,13 +5,20 @@
 //! The client-side tests run against a hand-rolled rogue listener (a raw
 //! `TcpListener` that replies with deliberately broken bytes); the
 //! server-side tests run a real [`Server`] and speak raw frames at it.
+//!
+//! A protocol-revision mismatch is one of those misbehaviours: whichever
+//! side notices it, the client surfaces a typed `Incompatible` after
+//! exactly one connection attempt.
 
-use cham_serve::protocol::{self, ErrorCode, FrameKind, Hello, DEADLINE_NONE, MAX_FRAME_BYTES};
+use cham_serve::protocol::{
+    self, ErrorCode, FrameKind, Hello, Response, DEADLINE_NONE, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+};
 use cham_serve::server::{Server, ServerConfig};
-use cham_serve::{ServeClient, ServeError};
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use cham_serve::{ClientConfig, RetryClient, RetryPolicy, ServeClient, ServeError};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 fn params() -> Arc<cham_he::params::ChamParams> {
     Arc::new(cham_he::params::ChamParams::insecure_test_default().unwrap())
@@ -125,7 +132,7 @@ fn server_rejects_oversized_frame_with_typed_error() {
 }
 
 /// A zero deadline on the wire is rejected as malformed rather than
-/// silently read as "no deadline" (the protocol v1 conflation).
+/// silently read as "no deadline".
 #[test]
 fn server_rejects_zero_deadline_on_the_wire() {
     let p = params();
@@ -209,4 +216,136 @@ fn every_wire_code_maps_to_the_intended_variant() {
             ..
         }
     ));
+}
+
+/// Asserts that `message` names both the offered and the local revision.
+fn assert_names_both_revisions(message: &str, peer: u16) {
+    assert!(
+        message.contains(&format!("peer speaks {peer}")),
+        "{message}"
+    );
+    assert!(
+        message.contains(&format!("this node speaks {PROTOCOL_VERSION}")),
+        "{message}"
+    );
+}
+
+/// A hello offering any revision but this crate's own — one older, one
+/// newer — is refused by a real server with a typed `Incompatible`
+/// naming both revisions.
+#[test]
+fn server_refuses_other_revisions_naming_both() {
+    let p = params();
+    let server = Server::start("127.0.0.1:0", Arc::clone(&p), &ServerConfig::default()).unwrap();
+    for offer in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let hello = Hello {
+            version: offer,
+            ..Hello::for_params(&p)
+        };
+        protocol::write_frame(&mut stream, FrameKind::Hello, &hello.to_bytes()).unwrap();
+        let (kind, body) = protocol::read_frame(&mut stream).unwrap();
+        assert_eq!(kind, FrameKind::Error);
+        let (code, message) = protocol::error_from_body(&body).unwrap();
+        assert_eq!(code, ErrorCode::Incompatible);
+        assert_names_both_revisions(&message, offer);
+    }
+    server.shutdown();
+}
+
+/// A fake server that accepts one connection, hands the client's hello
+/// to `respond`, and returns its listener so the caller can prove no
+/// second connection was attempted.
+fn one_shot_server(
+    respond: impl FnOnce(&mut TcpStream, Hello) + Send + 'static,
+) -> (SocketAddr, JoinHandle<TcpListener>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let (kind, body) = protocol::read_frame(&mut stream).unwrap();
+        assert_eq!(kind, FrameKind::Hello);
+        respond(&mut stream, Hello::from_bytes(&body).unwrap());
+        listener
+    });
+    (addr, handle)
+}
+
+/// Every connection a client attempts completes its TCP handshake in the
+/// listener's backlog, so an empty backlog after the client returned
+/// proves it connected exactly once.
+fn assert_no_second_connection(handle: JoinHandle<TcpListener>) {
+    let listener = handle.join().unwrap();
+    listener.set_nonblocking(true).unwrap();
+    match listener.accept() {
+        Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+        other => panic!("client connected again: {other:?}"),
+    }
+}
+
+/// Connects a `ServeClient` and a `RetryClient` (default policy, eight
+/// attempts) each to a fresh fake server answering the hello with
+/// `respond`, and hands each client's error to `check` — after proving
+/// the client connected exactly once.
+fn connect_both_once(
+    respond: impl FnOnce(&mut TcpStream, Hello) + Copy + Send + 'static,
+    check: impl Fn(ServeError),
+) {
+    for retrying in [false, true] {
+        let (addr, handle) = one_shot_server(respond);
+        let result = if retrying {
+            let (config, policy) = (ClientConfig::default(), RetryPolicy::default());
+            RetryClient::connect_with(addr.to_string(), params(), config, policy).map(drop)
+        } else {
+            ServeClient::connect(addr, params()).map(drop)
+        };
+        check(result.expect_err("a revision mismatch was accepted"));
+        assert_no_second_connection(handle);
+    }
+}
+
+/// A server refusing the client's revision is surfaced by both clients
+/// as the typed `Incompatible` after one connection attempt — no
+/// downgrade retry, no retry loop.
+#[test]
+fn refused_revision_surfaces_after_one_connection_attempt() {
+    let refuse = |stream: &mut TcpStream, hello: Hello| {
+        assert_eq!(hello.version, PROTOCOL_VERSION);
+        let message = format!(
+            "protocol revision mismatch: peer speaks {PROTOCOL_VERSION}, this node speaks {}",
+            PROTOCOL_VERSION + 1
+        );
+        let body = protocol::error_body(ErrorCode::Incompatible, &message);
+        protocol::write_frame(stream, FrameKind::Error, &body).unwrap();
+    };
+    connect_both_once(refuse, |e| match e {
+        ServeError::Remote {
+            code: ErrorCode::Incompatible,
+            message,
+        } => assert!(message.contains("revision mismatch"), "{message}"),
+        other => panic!("expected a typed Incompatible refusal, got {other:?}"),
+    });
+}
+
+/// A server echoing any revision but the client's own is rejected
+/// client-side with a typed `Incompatible` naming both revisions, again
+/// after one connection attempt.
+#[test]
+fn foreign_revision_echo_is_rejected_client_side() {
+    for echo in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        let answer = move |stream: &mut TcpStream, _: Hello| {
+            let resp = Response::Hello {
+                workers: 1,
+                queue_capacity: 8,
+                max_batch: 4,
+                version: echo,
+                cluster: None,
+            };
+            protocol::write_frame(stream, FrameKind::Result, &resp.to_bytes()).unwrap();
+        };
+        connect_both_once(answer, |e| match e {
+            ServeError::Incompatible(message) => assert_names_both_revisions(&message, echo),
+            other => panic!("echo {echo} accepted: {other:?}"),
+        });
+    }
 }

@@ -346,7 +346,7 @@ fn crash_mid_upload_leaves_no_partial_state() {
 
     {
         let server = start_server(&dir, None);
-        // Hand-rolled v5 session: declare, send half the chunks, vanish.
+        // Hand-rolled session: declare, send half the chunks, vanish.
         let mut s = TcpStream::connect(server.local_addr()).unwrap();
         let hello = Hello::for_params(&f.params);
         protocol::write_frame(&mut s, FrameKind::Hello, &hello.to_bytes()).unwrap();

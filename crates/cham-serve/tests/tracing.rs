@@ -1,7 +1,7 @@
-//! Integration tests for the tracing and introspection layer: protocol
-//! v3 negotiation (both directions of version skew), the `Introspect`
-//! and `FlightDump` wire ops against a real server, and the wire-level
-//! negative for a malformed v3 trace-id field.
+//! Integration tests for the tracing and introspection layer: the
+//! `Introspect` and `FlightDump` wire ops against a real server,
+//! client-stamped and server-assigned trace ids, and the wire-level
+//! negative for a malformed trace-id field.
 //!
 //! Uses the insecure N=256 test parameters and small matrices so the
 //! suite stays fast in debug builds (tier-1 runs `cargo test -q`
@@ -11,17 +11,14 @@ use cham_he::encrypt::{Decryptor, Encryptor};
 use cham_he::hmvp::{Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, SecretKey};
 use cham_he::params::ChamParams;
-use cham_serve::protocol::{
-    self, ErrorCode, FrameKind, Hello, Response, DEADLINE_NONE, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-};
+use cham_serve::protocol::{self, ErrorCode, FrameKind, Hello, DEADLINE_NONE};
 use cham_serve::server::{Server, ServerConfig};
 use cham_serve::stats::PHASE_TOTAL;
-use cham_serve::{ClientConfig, ServeClient};
+use cham_serve::ServeClient;
 use cham_telemetry::span::phase;
 use cham_telemetry::trace::read_chrome_trace;
 use rand::{Rng, SeedableRng};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 
 struct Fixture {
@@ -95,11 +92,10 @@ fn introspect_and_flight_dump_round_trip() {
         ..ServerConfig::default()
     });
     let mut client = ServeClient::connect(server.local_addr(), Arc::clone(&f.params)).unwrap();
-    assert_eq!(client.server_info().version, PROTOCOL_VERSION);
 
     const REQUESTS: usize = 4;
-    // trace_id 0 on a v3 connection means "server assigns one" — the
-    // server must generate and record a nonzero id for each request.
+    // trace_id 0 means "server assigns one" — the server must generate
+    // and record a nonzero id for each request.
     run_verified_hmvps(&mut client, REQUESTS, 0x51);
 
     let snap = client.introspect().unwrap();
@@ -218,124 +214,11 @@ fn client_stamped_trace_id_reaches_the_flight_recorder() {
     server.shutdown();
 }
 
-/// A v2 client against a v3 server: the hello echo downgrades the
-/// connection, v2 framing round-trips a correct result, and the server
-/// still records a complete trace under a self-assigned id.
+/// An `Hmvp` body with a truncated trace-id field is a typed `BadFrame`,
+/// not a confused parse: the malformed-trace-id negative at the wire
+/// level.
 #[test]
-fn v2_client_interops_with_v3_server() {
-    let f = fixture();
-    let server = start_server(&ServerConfig::default());
-    let mut client = ServeClient::connect_with(
-        server.local_addr(),
-        Arc::clone(&f.params),
-        &ClientConfig {
-            protocol_version: MIN_PROTOCOL_VERSION,
-            ..ClientConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(client.server_info().version, MIN_PROTOCOL_VERSION);
-
-    let ids = run_verified_hmvps(&mut client, 2, 0x52);
-    // v2 framing has nowhere to carry a trace id…
-    assert!(ids.iter().all(|&id| id == 0), "ids: {ids:?}");
-    // …so the server assigns its own; tracing does not regress for old
-    // clients.
-    let flight = server.flight().snapshot();
-    assert_eq!(flight.traces.len(), 2);
-    assert!(flight.traces.iter().all(|t| t.trace_id.as_u64() != 0));
-    assert_eq!(server.introspect().phase(PHASE_TOTAL).unwrap().count, 2);
-    server.shutdown();
-}
-
-/// A v3 client against a strict v2-only server (one that rejects hellos
-/// offering unknown revisions instead of downgrading): the client falls
-/// back to the floor revision on a second connection and succeeds.
-#[test]
-fn v3_client_falls_back_to_strict_v2_server() {
-    let f = fixture();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || {
-        let mut offers = Vec::new();
-        // At most two connections: the rejected v3 attempt, then the v2
-        // fallback. A strict server answers the first with a typed
-        // Incompatible error frame and closes.
-        for _ in 0..2 {
-            let (mut stream, _) = listener.accept().unwrap();
-            let (kind, body) = protocol::read_frame(&mut stream).unwrap();
-            assert_eq!(kind, FrameKind::Hello);
-            let hello = Hello::from_bytes(&body).unwrap();
-            offers.push(hello.version);
-            if hello.version > MIN_PROTOCOL_VERSION {
-                let body =
-                    protocol::error_body(ErrorCode::Incompatible, "unknown protocol version");
-                protocol::write_frame(&mut stream, FrameKind::Error, &body).unwrap();
-                continue;
-            }
-            // v2 hello response: no trailing version echo on the wire.
-            let resp = Response::Hello {
-                workers: 1,
-                queue_capacity: 8,
-                max_batch: 4,
-                version: MIN_PROTOCOL_VERSION,
-                cluster: None,
-            };
-            protocol::write_frame(&mut stream, FrameKind::Result, &resp.to_bytes()).unwrap();
-            return offers;
-        }
-        panic!("client never fell back to v2 (offers: {offers:?})");
-    });
-
-    let client = ServeClient::connect(addr, Arc::clone(&f.params)).unwrap();
-    assert_eq!(client.server_info().version, MIN_PROTOCOL_VERSION);
-    drop(client);
-    let offers = handle.join().unwrap();
-    assert_eq!(offers, vec![PROTOCOL_VERSION, MIN_PROTOCOL_VERSION]);
-}
-
-/// A forced-v2 client must not fall back below the floor: against the
-/// same strict listener rejecting everything, the error is surfaced.
-#[test]
-fn v2_offer_rejected_surfaces_without_retry_loop() {
-    let f = fixture();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        let _ = protocol::read_frame(&mut stream).unwrap();
-        let body = protocol::error_body(ErrorCode::Incompatible, "go away");
-        protocol::write_frame(&mut stream, FrameKind::Error, &body).unwrap();
-        // A second connection attempt would hang the test's accept-once
-        // listener — the join below proves none arrived.
-    });
-    let r = ServeClient::connect_with(
-        addr,
-        Arc::clone(&f.params),
-        &ClientConfig {
-            protocol_version: MIN_PROTOCOL_VERSION,
-            ..ClientConfig::default()
-        },
-    );
-    assert!(
-        matches!(
-            r,
-            Err(cham_serve::ServeError::Remote {
-                code: ErrorCode::Incompatible,
-                ..
-            })
-        ),
-        "got {:?}",
-        r.err()
-    );
-    handle.join().unwrap();
-}
-
-/// A v3 connection carrying a truncated trace-id field is a typed
-/// `BadFrame`, not a confused parse: the malformed-trace-id negative at
-/// the wire level.
-#[test]
-fn server_rejects_truncated_trace_id_on_v3_connection() {
+fn server_rejects_truncated_trace_id() {
     let f = fixture();
     let server = start_server(&ServerConfig::default());
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -344,8 +227,8 @@ fn server_rejects_truncated_trace_id_on_v3_connection() {
     let (kind, _) = protocol::read_frame(&mut stream).unwrap();
     assert_eq!(kind, FrameKind::Result);
 
-    // v3 body cut off mid-trace-id: key_id + matrix_id + deadline + 4 of
-    // the 8 trace-id bytes.
+    // Body cut off mid-trace-id: key_id + matrix_id + deadline + 4 of the
+    // 8 trace-id bytes.
     let mut body = Vec::new();
     body.extend_from_slice(&1u64.to_le_bytes());
     body.extend_from_slice(&2u64.to_le_bytes());

@@ -63,7 +63,7 @@ pub mod phase {
 
 /// A request's wire-visible identity: non-zero, random.
 ///
-/// Zero is the wire encoding for "unset" (a v3 client that does not
+/// Zero is the wire encoding for "unset" (a client that does not
 /// care), so [`TraceId::generate`] never returns it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub u64);
