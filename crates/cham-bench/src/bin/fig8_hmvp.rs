@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let mut run = BenchRun::from_env("fig8_hmvp");
+    let mut run = BenchRun::from_env_all_cores("fig8_hmvp");
     let params = ChamParams::cham_default().expect("paper params");
     let threads = run.threads();
     let backend = cham_math::Backend::active();
@@ -111,6 +111,16 @@ fn main() {
         eng(wide_fused_s),
     );
 
+    // Stage-4 tail per row: the fused rescale→extract of the dot phase
+    // against the reference rescale + extract_lwe pair.
+    let (tail_fused_us, tail_reference_us) = bench.tail_micros(20);
+    println!(
+        "rescale/extract tail per row: {} fused vs {} reference => {:.2}x",
+        eng(tail_fused_us / 1e6),
+        eng(tail_reference_us / 1e6),
+        tail_reference_us / tail_fused_us,
+    );
+
     // Per-rep latency distribution + kernel phase attribution for the
     // serial dot phase, via the same tracing layer the serving stack
     // uses: each rep runs under a SpanRecorder, so the in-kernel
@@ -160,6 +170,11 @@ fn main() {
     run.metric("dot_phase_speedup", JsonValue::Float(dot_speedup));
     run.metric("dot_phase_unfused_seconds", JsonValue::Float(unfused_s));
     run.metric("dot_phase_fused_speedup", JsonValue::Float(fused_speedup));
+    run.metric("rescale_tail_fused_us", JsonValue::Float(tail_fused_us));
+    run.metric(
+        "rescale_tail_reference_us",
+        JsonValue::Float(tail_reference_us),
+    );
     run.metric("dot_phase_wide_tiles", wide_tiles);
     run.metric(
         "dot_phase_wide_fused_seconds",

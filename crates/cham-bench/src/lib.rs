@@ -22,7 +22,7 @@
 #![warn(missing_docs)]
 use cham_he::ciphertext::RlweCiphertext;
 use cham_he::encrypt::{Decryptor, Encryptor};
-use cham_he::extract::extract_lwe;
+use cham_he::extract::{extract_lwe, rescale_extract};
 use cham_he::hmvp::{EncodedMatrix, Hmvp, Matrix};
 use cham_he::keys::{GaloisKeys, KeySwitchKey, SecretKey};
 use cham_he::ops::{keyswitch_mask, mul_plain_prepared, rescale};
@@ -45,7 +45,8 @@ pub fn bench_rng() -> rand::rngs::StdRng {
 ///   run finishes. With the `telemetry` feature enabled the record
 ///   embeds the full counter/timer snapshot.
 /// * `--threads <n>` — CPU-baseline parallelism for measurements that
-///   support it (see [`CpuCosts::measure_with_threads`]). Defaults to 1;
+///   support it (see [`CpuCosts::measure_with_threads`]). Defaults to 1
+///   ([`BenchRun::from_env_all_cores`]: the host's available parallelism);
 ///   always recorded as the `threads` param of the run record. The value
 ///   also sizes the process-global `cham-pool` kernel pool (unless
 ///   `CHAM_POOL_THREADS` or an earlier pool use already fixed its size),
@@ -71,11 +72,24 @@ impl BenchRun {
         Self::from_args(name, std::env::args().skip(1))
     }
 
+    /// [`Self::from_env`] with `--threads` defaulting to the host's
+    /// available parallelism instead of 1, for binaries whose parallel arm
+    /// would otherwise re-measure the serial path.
+    #[must_use]
+    pub fn from_env_all_cores(name: &str) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        Self::parse(name, std::env::args().skip(1), cores)
+    }
+
     /// [`Self::from_env`] over an explicit argument list (testable).
     #[must_use]
     pub fn from_args(name: &str, args: impl IntoIterator<Item = String>) -> Self {
+        Self::parse(name, args, 1)
+    }
+
+    fn parse(name: &str, args: impl IntoIterator<Item = String>, default_threads: usize) -> Self {
         let mut json_path = None;
-        let mut threads = 1usize;
+        let mut threads = default_threads;
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -96,7 +110,9 @@ impl BenchRun {
                 "--help" | "-h" => {
                     println!("usage: {name} [--json <path>] [--threads <n>]");
                     println!("  --json <path>  write a cham-run-record/v1 JSON run record");
-                    println!("  --threads <n>  CPU-baseline thread count (default 1)");
+                    println!(
+                        "  --threads <n>  CPU-baseline thread count (default {default_threads})"
+                    );
                     std::process::exit(0);
                 }
                 other => {
@@ -139,7 +155,8 @@ impl BenchRun {
         }
     }
 
-    /// The `--threads` value (1 when the flag was not given).
+    /// The `--threads` value (the binary's default when the flag was not
+    /// given).
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
@@ -439,6 +456,34 @@ impl DotPhaseBench {
             best = best.min(t0.elapsed().as_secs_f64());
         }
         best
+    }
+
+    /// Best-of-`reps` microseconds of one row's stage-4 tail, as
+    /// `(fused, reference)`: [`rescale_extract`] against [`rescale`] +
+    /// [`extract_lwe`], on an NTT-form augmented ciphertext shaped like a
+    /// row accumulator. The fused input is cloned outside the timed region
+    /// (the dot phase hands it over by value); every rep checks the two
+    /// results are identical.
+    ///
+    /// # Panics
+    /// Panics if either tail fails or they disagree.
+    #[must_use]
+    pub fn tail_micros(&self, reps: usize) -> (f64, f64) {
+        let params = self.hmvp.params();
+        let mut acc = self.cts[0].clone();
+        acc.to_ntt();
+        let (mut fused, mut reference) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps.max(1) {
+            let input = acc.clone();
+            let t0 = Instant::now();
+            let got = rescale_extract(input, params).expect("fused tail");
+            fused = fused.min(t0.elapsed().as_secs_f64());
+            let t1 = Instant::now();
+            let want = extract_lwe(&rescale(&acc, params).expect("rescale"), 0).expect("extract");
+            reference = reference.min(t1.elapsed().as_secs_f64());
+            assert_eq!(got, want, "fused tail must match the reference");
+        }
+        (fused * 1e6, reference * 1e6)
     }
 
     /// Best-of-`reps` wall-clock seconds for one dot-product phase through

@@ -16,30 +16,24 @@
 //! PPUs in the same pipeline stage as RESCALE (§III-A).
 
 use crate::ciphertext::{LweCiphertext, RlweCiphertext};
+use crate::params::ChamParams;
 use crate::{HeError, Result};
 use cham_math::poly::Poly;
 use cham_math::rns::{Form, RnsPoly};
 
-/// The Eq. 3 coefficient rearrangement: `â₀ = a₀`, `â_{N−j} = −a_j`.
-/// An involution (applying twice is the identity).
-fn rearrange(a: &RnsPoly) -> RnsPoly {
+/// The Eq. 3 coefficient rearrangement, in place on a coefficient-form
+/// polynomial: `â₀ = a₀`, `â_{N−j} = −a_j` — reverse `a_1..a_{N−1}`, then
+/// negate them. An involution (applying twice is the identity).
+fn rearrange(a: &mut RnsPoly) {
+    debug_assert_eq!(a.form(), Form::Coeff);
     let ctx = a.context().clone();
-    let n = ctx.degree();
-    let limbs = a
-        .limbs()
-        .iter()
-        .zip(ctx.moduli())
-        .map(|(limb, m)| {
-            let src = limb.coeffs();
-            let mut out = vec![0u64; n];
-            out[0] = src[0];
-            for j in 1..n {
-                out[n - j] = m.neg(src[j]);
-            }
-            Poly::from_coeffs(out)
-        })
-        .collect();
-    RnsPoly::from_limbs(&ctx, limbs, Form::Coeff).expect("limbs match context")
+    for (limb, m) in a.limbs_mut().iter_mut().zip(ctx.moduli()) {
+        let tail = &mut limb.coeffs_mut()[1..];
+        tail.reverse();
+        for x in tail {
+            *x = m.neg(*x);
+        }
+    }
 }
 
 /// `EXTRACTLWES` at coefficient `index`: converts an RLWE ciphertext into
@@ -60,24 +54,54 @@ pub fn extract_lwe(ct: &RlweCiphertext, index: usize) -> Result<LweCiphertext> {
             got: index,
         });
     }
-    let mut c = ct.clone();
-    c.to_coeff();
-    // Shift the wanted coefficient into position 0: multiplying by X^{-i}
-    // = -X^{N-i} moves coefficient i to 0 (and is exactly how the PPUs do
-    // it, via SHIFTNEG).
-    let shifted = if index == 0 {
-        c
+    let (b0, mut a) = if index == 0 {
+        // Only `a` is copied; `b`'s constant coefficient is read in place
+        // (without an INTT when `b` is in NTT form).
+        (ct.b().constant_coeffs(), ct.a().clone())
     } else {
-        c.mul_monomial(2 * n - index)?
+        // Shift the wanted coefficient into position 0: multiplying by
+        // X^{-i} = -X^{N-i} moves coefficient i to 0 (and is exactly how
+        // the PPUs do it, via SHIFTNEG).
+        let mut c = ct.clone();
+        c.to_coeff();
+        let shifted = c.mul_monomial(2 * n - index)?;
+        (shifted.b.constant_coeffs(), shifted.a)
     };
-    let b_res: Vec<u64> = shifted
-        .b()
-        .limbs()
-        .iter()
-        .map(|limb| limb.coeffs()[0])
-        .collect();
-    let a_hat = rearrange(shifted.a());
-    LweCiphertext::new(b_res, a_hat)
+    a.to_coeff();
+    rearrange(&mut a);
+    LweCiphertext::new(b0, a)
+}
+
+/// RESCALE fused with `EXTRACTLWES` at index 0 — CHAM's pipeline stage 4,
+/// which runs both in the PPUs. Returns exactly
+/// `extract_lwe(&ops::rescale(&ct, params)?, 0)` while doing only the work
+/// that LWE needs:
+///
+/// * `b` is never inverse-transformed: its constant coefficient per limb
+///   is read from NTT form as `N⁻¹·Σ_k NTT(b)_k`
+///   ([`RnsPoly::constant_coeffs`]) and rescaled as one scalar
+///   ([`cham_math::rns::RnsContext::rescale_residues`]);
+/// * `a` is taken by value and transformed, rescaled and rearranged in its
+///   own buffers — nothing is cloned.
+///
+/// # Errors
+/// [`HeError::Incompatible`] unless `ct` is in the augmented basis of
+/// `params`.
+pub fn rescale_extract(ct: RlweCiphertext, params: &ChamParams) -> Result<LweCiphertext> {
+    cham_telemetry::counter_add!("cham_he.ops.rescale", 1);
+    cham_telemetry::counter_add!("cham_he.extract.extract_lwe", 1);
+    let aug = params.augmented_context();
+    if ct.b().context() != aug {
+        return Err(HeError::Incompatible(
+            "rescale expects an augmented-basis ciphertext",
+        ));
+    }
+    let RlweCiphertext { b, mut a } = ct;
+    let b0 = aug.rescale_residues(&b.constant_coeffs());
+    a.to_coeff();
+    a.rescale_by_last_in_place(params.ciphertext_context())?;
+    rearrange(&mut a);
+    LweCiphertext::new(b0, a)
 }
 
 /// `LWE-TO-RLWE`: re-imports an LWE ciphertext as an RLWE ciphertext whose
@@ -97,7 +121,8 @@ pub fn lwe_to_rlwe(lwe: &LweCiphertext) -> RlweCiphertext {
         })
         .collect();
     let b = RnsPoly::from_limbs(&ctx, b_limbs, Form::Coeff).expect("limbs match context");
-    let a = rearrange(lwe.a());
+    let mut a = lwe.a().clone();
+    rearrange(&mut a);
     RlweCiphertext::new(b, a).expect("components share context and form")
 }
 
@@ -165,7 +190,38 @@ mod tests {
         let (params, _, _, _, mut rng) = setup();
         let ctx = params.ciphertext_context();
         let a = cham_math::sampling::uniform_rns_poly(ctx, &mut rng);
-        assert_eq!(rearrange(&rearrange(&a)), a);
+        let mut hat = a.clone();
+        rearrange(&mut hat);
+        // Eq. 3, limb by limb.
+        let n = params.degree();
+        for ((h, x), m) in hat.limbs().iter().zip(a.limbs()).zip(ctx.moduli()) {
+            assert_eq!(h.coeffs()[0], x.coeffs()[0]);
+            for j in 1..n {
+                assert_eq!(h.coeffs()[n - j], m.neg(x.coeffs()[j]));
+            }
+        }
+        rearrange(&mut hat);
+        assert_eq!(hat, a);
+    }
+
+    #[test]
+    fn rescale_extract_matches_rescale_then_extract() {
+        let (params, enc, dec, coder, mut rng) = setup();
+        let t = params.plain_modulus().value();
+        let vals: Vec<u64> = (0..params.degree()).map(|_| rng.gen_range(0..t)).collect();
+        let ct = enc.encrypt_augmented(&coder.encode_vector(&vals).unwrap(), &mut rng);
+        let reference = extract_lwe(&crate::ops::rescale(&ct, &params).unwrap(), 0).unwrap();
+        // Both input forms: NTT (the HMVP accumulator) and coefficient.
+        let mut ntt = ct.clone();
+        ntt.to_ntt();
+        for input in [ntt, ct.clone()] {
+            let fused = rescale_extract(input, &params).unwrap();
+            assert_eq!(fused, reference);
+        }
+        assert_eq!(dec.decrypt_lwe(&reference), vals[0]);
+        // A normal-basis ciphertext is rejected, like `ops::rescale`.
+        let normal = enc.encrypt(&coder.encode_vector(&[1]).unwrap(), &mut rng);
+        assert!(rescale_extract(normal, &params).is_err());
     }
 
     #[test]

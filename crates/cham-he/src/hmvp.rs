@@ -19,7 +19,7 @@
 use crate::ciphertext::{LweCiphertext, RlweCiphertext};
 use crate::encoding::CoeffEncoder;
 use crate::encrypt::{Decryptor, Encryptor};
-use crate::extract::extract_lwe;
+use crate::extract::{extract_lwe, rescale_extract};
 use crate::keys::GaloisKeys;
 use crate::ops::{lift_plaintext_ntt, rescale};
 use crate::pack::{pack_lwes, PackedRlwe};
@@ -284,8 +284,9 @@ impl Hmvp {
 
     /// One row's dot product against NTT-form inputs: fused pointwise
     /// multiply-accumulate per column tile ("a row residing in multiple
-    /// ciphertexts needs to be aggregated", §V-B.2), then a single INTT /
-    /// rescale / extract for the row.
+    /// ciphertexts needs to be aggregated", §V-B.2), then the fused
+    /// rescale/extract tail ([`rescale_extract`]) for the row: one INTT
+    /// per limb of `a`, none of `b`.
     ///
     /// Products are accumulated with reduction deferred
     /// ([`FusedAccumulator`]) into per-worker scratch, so the tile loop
@@ -310,12 +311,13 @@ impl Hmvp {
         })?;
         drop(dot_span);
         let _span = Span::enter(phase::RESCALE);
-        let rescaled = rescale(&RlweCiphertext::new(b, a)?, &self.params)?;
-        extract_lwe(&rescaled, 0)
+        rescale_extract(RlweCiphertext::new(b, a)?, &self.params)
     }
 
     /// Strict-reduction, allocating twin of [`Hmvp::dot_row`] — kept for
-    /// equivalence tests and the `fig8_hmvp` ablation column.
+    /// equivalence tests and the `fig8_hmvp` ablation column. Its tail is
+    /// the reference [`rescale`] + [`extract_lwe`] pair, which pins the
+    /// fused tail too.
     fn dot_row_unfused(
         &self,
         row_tiles: &[cham_math::rns::RnsPoly],
@@ -653,6 +655,34 @@ mod tests {
         let fused = hmvp.dot_products(&em, &cts).unwrap();
         let unfused = hmvp.dot_products_unfused(&em, &cts).unwrap();
         assert_eq!(fused, unfused, "lazy datapath must be bit-identical");
+    }
+
+    #[test]
+    fn fused_dot_products_match_unfused_at_paper_parameters() {
+        // N = 4096 over the CHAM chain: the fused tail's NTT-domain read
+        // of `b` and the Shoup rescale against the reference INTT +
+        // rescale + extract, with 1 and 2 column tiles.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4096);
+        let params = ChamParams::cham_default().unwrap();
+        let sk = SecretKey::generate(&params, &mut rng);
+        let enc = Encryptor::new(&params, &sk);
+        let dec = Decryptor::new(&params, &sk);
+        let t = params.plain_modulus();
+        let n = params.degree();
+        let hmvp = Hmvp::new(&params);
+        for (cols, tiles) in [(n, 1), (n + 300, 2)] {
+            let a = Matrix::random(3, cols, t.value(), &mut rng);
+            let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t.value())).collect();
+            let cts = hmvp.encrypt_vector(&v, &enc, &mut rng).unwrap();
+            assert_eq!(cts.len(), tiles);
+            let em = hmvp.encode_matrix(&a).unwrap();
+            let fused = hmvp.dot_products(&em, &cts).unwrap();
+            let unfused = hmvp.dot_products_unfused(&em, &cts).unwrap();
+            assert_eq!(fused, unfused, "tiles={tiles}");
+            let expect = a.mul_vector_mod(&v, t).unwrap();
+            let got: Vec<u64> = fused.iter().map(|lwe| dec.decrypt_lwe(lwe)).collect();
+            assert_eq!(got, expect, "tiles={tiles}");
+        }
     }
 
     #[test]

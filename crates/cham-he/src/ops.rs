@@ -167,7 +167,9 @@ pub fn rescale(ct: &RlweCiphertext, params: &ChamParams) -> Result<RlweCiphertex
     let mut a = ct.a().clone();
     b.to_coeff();
     a.to_coeff();
-    RlweCiphertext::new(b.rescale_by_last(target)?, a.rescale_by_last(target)?)
+    b.rescale_by_last_in_place(target)?;
+    a.rescale_by_last_in_place(target)?;
+    RlweCiphertext::new(b, a)
 }
 
 /// MODSWITCH: drops the last remaining auxiliary prime of a *normal-basis*
@@ -191,7 +193,9 @@ pub fn mod_switch_to_single(ct: &RlweCiphertext, params: &ChamParams) -> Result<
     let mut a = ct.a().clone();
     b.to_coeff();
     a.to_coeff();
-    RlweCiphertext::new(b.rescale_by_last(&target)?, a.rescale_by_last(&target)?)
+    b.rescale_by_last_in_place(&target)?;
+    a.rescale_by_last_in_place(&target)?;
+    RlweCiphertext::new(b, a)
 }
 
 /// Key-switches the mask `a` (currently keyed to some `s_old`) to the
@@ -213,9 +217,15 @@ pub fn keyswitch_mask(
     cham_telemetry::time_scope!("cham_he.ops.keyswitch");
     let aug = params.augmented_context();
     let target = params.ciphertext_context();
-    let mut a_coeff = a.clone();
-    a_coeff.to_coeff();
-    let mut digits = a_coeff.decompose_digits(aug)?;
+    // Decompose straight from `a` when it is already in coefficient form
+    // (every caller in the packing path); only an NTT-form mask is copied.
+    let mut digits = if a.form() == Form::Coeff {
+        a.decompose_digits(aug)?
+    } else {
+        let mut a_coeff = a.clone();
+        a_coeff.to_coeff();
+        a_coeff.decompose_digits(aug)?
+    };
     if digits.len() != ksk.digit_count() {
         return Err(HeError::Incompatible(
             "digit count does not match the key-switch key",
@@ -240,10 +250,9 @@ pub fn keyswitch_mask(
         })?;
     acc_b.to_coeff();
     acc_a.to_coeff();
-    Ok((
-        acc_b.rescale_by_last(target)?,
-        acc_a.rescale_by_last(target)?,
-    ))
+    acc_b.rescale_by_last_in_place(target)?;
+    acc_a.rescale_by_last_in_place(target)?;
+    Ok((acc_b, acc_a))
 }
 
 /// AUTOMORPHISM + KEYSWITCH (Alg. 2 lines 4–5): applies the Galois map

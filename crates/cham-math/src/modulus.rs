@@ -417,12 +417,17 @@ impl Modulus {
         }
     }
 
-    /// Maps a signed value into canonical form `[0, q)`.
+    /// Maps a signed value into canonical form `[0, q)`: Barrett-reduces
+    /// `|x|` (exact for `i64::MIN`, whose magnitude `2^63` fits `u64`) and
+    /// negates the residue for negative `x` — no `i128` division.
     #[inline]
     pub fn from_signed(&self, x: i64) -> u64 {
-        let q = self.value as i128;
-        let r = (x as i128 % q + q) % q;
-        r as u64
+        let r = self.reduce(x.unsigned_abs());
+        if x < 0 {
+            self.neg(r)
+        } else {
+            r
+        }
     }
 }
 
@@ -565,6 +570,31 @@ mod tests {
         assert_eq!(q.from_signed(-1), 16);
         assert_eq!(q.from_signed(-17), 0);
         assert_eq!(q.from_signed(35), 1);
+    }
+
+    /// The `i128` formula `from_signed` used before its Barrett rewrite,
+    /// kept as the reference.
+    fn from_signed_i128(q: u64, x: i64) -> u64 {
+        let q = q as i128;
+        ((x as i128 % q + q) % q) as u64
+    }
+
+    #[test]
+    fn from_signed_matches_i128_reference() {
+        let mut rng = rng();
+        for &qv in &[Q0, Q1, SPECIAL_P, 65537, (1u64 << 62) - 1] {
+            let q = Modulus::new(qv).unwrap();
+            let mut xs: Vec<i64> = vec![0, 1, -1, i64::MIN, i64::MIN + 1, i64::MAX, i64::MAX - 1];
+            for k in [1i64, 2, 3, 1000] {
+                let kq = k.saturating_mul(qv as i64);
+                xs.extend([kq, -kq, kq - 1, -kq + 1, kq + 1, -kq - 1]);
+            }
+            xs.extend((0..5000).map(|_| rng.gen::<i64>()));
+            xs.extend((0..1000).map(|_| rng.gen_range(-(qv as i64)..qv as i64)));
+            for x in xs {
+                assert_eq!(q.from_signed(x), from_signed_i128(qv, x), "x={x} q={qv}");
+            }
+        }
     }
 
     #[test]

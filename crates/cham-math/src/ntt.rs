@@ -176,6 +176,12 @@ impl NttTable {
         self.psi
     }
 
+    /// `N⁻¹ mod q` — the inverse transform's scaling factor.
+    #[inline]
+    pub(crate) fn n_inv(&self) -> u64 {
+        self.n_inv
+    }
+
     /// In-place forward negacyclic NTT. Input in normal order, output in
     /// bit-reversed order. Runs the lazy Harvey datapath (see the module
     /// docs); output is canonical, bit-identical to

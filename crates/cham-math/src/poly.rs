@@ -256,9 +256,13 @@ impl Poly {
     /// `AUTOMORPH`: the Galois map `X → X^k`, i.e.
     /// `a_i → (−1)^{⌊ik/N⌋} a at position ik mod N` (paper Table I).
     ///
+    /// `N` is a power of two (as for every ring `NttTable` accepts), so the
+    /// position and wrap count are a mask and a shift, not a division.
+    ///
     /// # Errors
     /// Returns [`MathError::InvalidParameter`] unless `k` is odd (even `k`
-    /// is not a ring automorphism of `Z_q[X]/(X^N+1)`).
+    /// is not a ring automorphism of `Z_q[X]/(X^N+1)`) and the length is a
+    /// power of two.
     pub fn automorph(&self, k: usize, q: &Modulus) -> Result<Self> {
         cham_telemetry::counter_add!("cham_math.poly.automorph", 1);
         if k.is_multiple_of(2) {
@@ -267,12 +271,20 @@ impl Poly {
             ));
         }
         let n = self.len();
+        if !n.is_power_of_two() {
+            return Err(MathError::InvalidParameter(
+                "automorphism requires a power-of-two degree",
+            ));
+        }
+        let (mask, log_n) = (n - 1, n.trailing_zeros());
+        // X^{2N} = 1, so only k mod 2N matters (and i·k cannot overflow).
+        let k = k & (2 * n - 1);
         let mut coeffs = vec![0u64; n];
         for (i, &a) in self.coeffs.iter().enumerate() {
             let ik = i * k;
-            let pos = ik % n;
+            let pos = ik & mask;
             // (−1)^{⌊ik/N⌋}: each wrap past N flips the sign.
-            if (ik / n).is_multiple_of(2) {
+            if (ik >> log_n) & 1 == 0 {
                 coeffs[pos] = a;
             } else {
                 coeffs[pos] = q.neg(a);
@@ -431,6 +443,13 @@ mod tests {
         let a = Poly::from_coeffs(vec![1, 2, 3, 4]);
         assert!(a.automorph(2, &q).is_err());
         assert!(a.automorph(1, &q).is_ok());
+    }
+
+    #[test]
+    fn automorph_rejects_non_power_of_two_degree() {
+        let q = q17();
+        assert!(Poly::from_coeffs(vec![1, 2, 3]).automorph(3, &q).is_err());
+        assert!(Poly::from_coeffs(vec![1; 12]).automorph(5, &q).is_err());
     }
 
     #[test]

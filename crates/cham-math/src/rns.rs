@@ -52,8 +52,66 @@ pub struct RnsContext {
     degree: usize,
     moduli: Arc<Vec<Modulus>>,
     tables: Arc<Vec<NttTable>>,
-    /// inv(p_last) mod q_i for each limb i < len-1 — rescale constant.
-    inv_last: Arc<Vec<u64>>,
+    /// Rescale constants for each limb `i < len − 1` (see [`RescaleLimb`]).
+    rescale: Arc<Vec<RescaleLimb>>,
+}
+
+/// Limb-`i` constants of the rescale by the last prime `p`: `p⁻¹ mod q_i`
+/// with its Shoup companion, and `p mod q_i` for the centred lift.
+#[derive(Debug, Clone, Copy)]
+struct RescaleLimb {
+    inv_p: u64,
+    inv_p_shoup: u64,
+    p_mod: u64,
+}
+
+impl RescaleLimb {
+    /// `(x − [c]_p) · p⁻¹ mod q_i` for the limb-`i` residue `x` and the
+    /// dropped residue `c < p`, where `[c]_p` is the centred lift (`c − p`
+    /// when `c > ⌊p/2⌋`), which makes the division round to nearest. The
+    /// lift is taken mod `q_i` as `c mod q_i`, minus `p mod q_i` when
+    /// negative — no signed arithmetic, no division.
+    #[inline]
+    fn apply(&self, m: &Modulus, half_p: u64, x: u64, c: u64) -> u64 {
+        let lift = if c > half_p { self.p_mod } else { 0 };
+        let cp = m.sub(m.reduce(c), lift);
+        m.mul_shoup(m.sub(x, cp), self.inv_p, self.inv_p_shoup)
+    }
+}
+
+/// How digit residues `x < q_i` re-embed into a modulus `q_j` during
+/// [`RnsPoly::decompose_digits`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Embed {
+    /// `q_i ≤ q_j`: `x` is already canonical mod `q_j`.
+    Copy,
+    /// `q_i ≤ 2·q_j`: one conditional subtraction.
+    CondSub,
+    /// Otherwise: a Barrett reduction.
+    Barrett,
+}
+
+impl Embed {
+    fn between(from: u64, to: &Modulus) -> Self {
+        if from <= to.value() {
+            Self::Copy
+        } else if from <= to.two_q() {
+            Self::CondSub
+        } else {
+            Self::Barrett
+        }
+    }
+
+    fn apply(self, src: &[u64], to: &Modulus) -> Vec<u64> {
+        match self {
+            Self::Copy => src.to_vec(),
+            Self::CondSub => src
+                .iter()
+                .map(|&x| if x >= to.value() { x - to.value() } else { x })
+                .collect(),
+            Self::Barrett => src.iter().map(|&x| to.reduce(x)).collect(),
+        }
+    }
 }
 
 impl PartialEq for RnsContext {
@@ -97,15 +155,23 @@ impl RnsContext {
             .map(|&m| NttTable::new(degree, m))
             .collect::<Result<_>>()?;
         let last = *primes.last().expect("non-empty");
-        let inv_last = moduli[..moduli.len() - 1]
+        let rescale = moduli[..moduli.len() - 1]
             .iter()
-            .map(|m| m.inv(last % m.value()))
+            .map(|m| {
+                let p_mod = last % m.value();
+                let inv_p = m.inv(p_mod)?;
+                Ok(RescaleLimb {
+                    inv_p,
+                    inv_p_shoup: m.shoup(inv_p),
+                    p_mod,
+                })
+            })
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
             degree,
             moduli: Arc::new(moduli),
             tables: Arc::new(tables),
-            inv_last: Arc::new(inv_last),
+            rescale: Arc::new(rescale),
         })
     }
 
@@ -218,6 +284,24 @@ impl RnsContext {
         }
     }
 
+    /// Rescales one coefficient, given as its residues over this context,
+    /// by the last prime: the scalar twin of [`RnsPoly::rescale_by_last`],
+    /// returning the residues over [`RnsContext::drop_last`]'s basis.
+    ///
+    /// # Panics
+    /// Panics if `residues.len() != self.len()` or the context has a
+    /// single limb.
+    pub fn rescale_residues(&self, residues: &[u64]) -> Vec<u64> {
+        assert_eq!(residues.len(), self.len(), "residue count mismatch");
+        let (&c, kept) = residues.split_last().expect("non-empty");
+        assert!(!kept.is_empty(), "rescale requires at least two limbs");
+        let half_p = self.moduli[self.len() - 1].value() / 2;
+        kept.iter()
+            .zip(self.moduli.iter().zip(self.rescale.iter()))
+            .map(|(&x, (m, r))| r.apply(m, half_p, x, c))
+            .collect()
+    }
+
     /// Embeds an integer (given as `u128`, reduced mod `Q`) into residues.
     pub fn residues_of(&self, x: u128) -> Vec<u64> {
         self.moduli
@@ -276,23 +360,6 @@ impl RnsPoly {
             .moduli()
             .iter()
             .map(|m| Poly::from_signed(coeffs, m))
-            .collect();
-        Ok(Self {
-            ctx: ctx.clone(),
-            limbs,
-            form: Form::Coeff,
-        })
-    }
-
-    /// Lifts unsigned values `< min(q_i)` identically into every limb.
-    pub fn from_unsigned(ctx: &RnsContext, coeffs: &[u64]) -> Result<Self> {
-        if coeffs.len() != ctx.degree() {
-            return Err(MathError::ContextMismatch);
-        }
-        let limbs = ctx
-            .moduli()
-            .iter()
-            .map(|m| Poly::from_coeffs(coeffs.iter().map(|&c| m.reduce(c)).collect()))
             .collect();
         Ok(Self {
             ctx: ctx.clone(),
@@ -585,11 +652,30 @@ impl RnsPoly {
     /// dropping it from the basis. For a coefficient `c` over `Q·p`, the
     /// result over `Q` is `round(c / p)`, computed limb-locally as
     /// `(c_i − [c_p]) · p^{−1} mod q_i` with a centred lift of `c_p`.
+    /// Allocating twin of [`RnsPoly::rescale_by_last_in_place`].
     ///
     /// # Errors
-    /// [`MathError::ContextMismatch`] when in NTT form;
+    /// [`MathError::ContextMismatch`] when in NTT form or when `target` is
+    /// not this context minus its last prime;
     /// [`MathError::InvalidParameter`] for single-limb operands.
     pub fn rescale_by_last(&self, target: &RnsContext) -> Result<Self> {
+        let mut out = self.clone();
+        out.rescale_by_last_in_place(target)?;
+        Ok(out)
+    }
+
+    /// [`RnsPoly::rescale_by_last`] over this polynomial's own limb
+    /// buffers: the surviving limbs are overwritten, the last is dropped.
+    ///
+    /// The per-coefficient kernel is one Barrett reduction of the dropped
+    /// residue, one conditional subtraction of `p mod q_i` for the centred
+    /// lift and one Shoup multiply by the precomputed `p⁻¹` — no signed or
+    /// 128-bit division.
+    ///
+    /// # Errors
+    /// Same conditions as [`RnsPoly::rescale_by_last`]; `self` is left
+    /// unchanged on error.
+    pub fn rescale_by_last_in_place(&mut self, target: &RnsContext) -> Result<()> {
         if self.form != Form::Coeff {
             return Err(MathError::ContextMismatch);
         }
@@ -612,50 +698,78 @@ impl RnsPoly {
         if !prefix_ok {
             return Err(MathError::ContextMismatch);
         }
-        let p_mod = self.ctx.moduli()[k - 1];
-        let last = &self.limbs[k - 1];
-        let n = self.ctx.degree();
+        let half_p = self.ctx.moduli[k - 1].value() / 2;
+        let moduli = self.ctx.moduli.as_slice();
+        let consts = self.ctx.rescale.as_slice();
+        let (last, kept) = self.limbs.split_last_mut().expect("k >= 2");
+        let last = last.coeffs();
         // Each surviving limb is computed independently from (its own
         // residues, the dropped residues) — fan out across the pool.
-        let limbs = cham_pool::map(&self.ctx.moduli()[..k - 1], |i, m| {
-            let inv_p = self.ctx.inv_last[i];
-            let mut out = Vec::with_capacity(n);
-            for j in 0..n {
-                // Centred lift of the dropped residue implements rounding
-                // (|error| <= 1/2 of a unit in the target).
-                let cp = p_mod.center(last.coeffs()[j]);
-                let cp_in_qi = m.from_signed(cp);
-                let diff = m.sub(self.limbs[i].coeffs()[j], cp_in_qi);
-                out.push(m.mul(diff, inv_p));
+        cham_pool::for_each_mut(kept, |i, limb| {
+            let (m, r) = (&moduli[i], &consts[i]);
+            for (x, &c) in limb.coeffs_mut().iter_mut().zip(last) {
+                *x = r.apply(m, half_p, *x, c);
             }
-            Poly::from_coeffs(out)
         });
-        Ok(Self {
-            ctx: target.clone(),
-            limbs,
-            form: Form::Coeff,
-        })
+        self.limbs.pop();
+        self.ctx = target.clone();
+        Ok(())
+    }
+
+    /// The constant coefficient of every limb, in either form. In NTT form
+    /// it is read without an inverse transform: summing the negacyclic
+    /// NTT's outputs `â_k = Σ_j a_j ψ^{(2k+1)j}` over all `k` leaves only
+    /// the `j = 0` term (`Σ_k ω^{kj} = 0` for `0 < j < N`, `ω = ψ²`), so
+    /// `a_0 = N⁻¹ · Σ_k â_k mod q` exactly, in any output order — an
+    /// `O(N)` sum instead of an `O(N log N)` INTT.
+    pub fn constant_coeffs(&self) -> Vec<u64> {
+        match self.form {
+            Form::Coeff => self.limbs.iter().map(|l| l.coeffs()[0]).collect(),
+            Form::Ntt => self
+                .limbs
+                .iter()
+                .zip(self.ctx.tables.iter())
+                .map(|(l, table)| {
+                    let m = table.modulus();
+                    let sum: u128 = l.coeffs().iter().map(|&x| u128::from(x)).sum();
+                    m.mul(m.reduce_u128(sum), table.n_inv())
+                })
+                .collect(),
+        }
     }
 
     /// RNS digit decomposition for key-switching: digit `i` is the limb-`i`
-    /// residue polynomial re-embedded into the *full* `target` basis (its
-    /// coefficients are integers `< q_i`, so re-embedding is a per-modulus
-    /// reduction). Coefficient form required.
+    /// residue polynomial re-embedded into the *full* `target` basis. Its
+    /// coefficients are integers `< q_i`, so each target limb `q_j` is a
+    /// copy when `q_i ≤ q_j`, one conditional subtraction when
+    /// `q_i ≤ 2·q_j`, and a Barrett reduction only otherwise (the case is
+    /// decided once per limb pair, never per coefficient). Coefficient form
+    /// required.
     ///
     /// # Errors
-    /// [`MathError::ContextMismatch`] when in NTT form.
+    /// [`MathError::ContextMismatch`] when in NTT form or when `target` has
+    /// a different degree.
     pub fn decompose_digits(&self, target: &RnsContext) -> Result<Vec<RnsPoly>> {
-        if self.form != Form::Coeff {
+        if self.form != Form::Coeff || target.degree != self.ctx.degree {
             return Err(MathError::ContextMismatch);
         }
-        // Digit i depends only on limb i; the basis extension (a reduction
-        // of every coefficient into each target modulus) is the dominant
-        // cost of key-switching, so build the digits limb-parallel.
-        cham_pool::map(&self.limbs, |_, limb| {
-            RnsPoly::from_unsigned(target, limb.coeffs())
-        })
-        .into_iter()
-        .collect()
+        let from = self.ctx.moduli();
+        // Digit i depends only on limb i; the basis extension is the
+        // dominant cost of key-switching, so build the digits limb-parallel.
+        Ok(cham_pool::map(&self.limbs, |i, limb| {
+            let limbs = target
+                .moduli()
+                .iter()
+                .map(|to| {
+                    Poly::from_coeffs(Embed::between(from[i].value(), to).apply(limb.coeffs(), to))
+                })
+                .collect();
+            RnsPoly {
+                ctx: target.clone(),
+                limbs,
+                form: Form::Coeff,
+            }
+        }))
     }
 
     /// Max centred infinity norm across limbs — only meaningful when the
@@ -957,14 +1071,162 @@ mod tests {
         }
     }
 
+    /// The per-coefficient rescale loop before the Shoup kernel, kept
+    /// verbatim as the reference (with `Modulus::from_signed`'s old `i128`
+    /// body inlined, since that function was rewritten too).
+    fn rescale_reference(a: &RnsPoly, target: &RnsContext) -> RnsPoly {
+        let k = a.ctx.len();
+        let p_mod = a.ctx.moduli()[k - 1];
+        let last = &a.limbs[k - 1];
+        let n = a.ctx.degree();
+        let limbs = a.ctx.moduli()[..k - 1]
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let inv_p = m.inv(p_mod.value() % m.value()).unwrap();
+                let mut out = Vec::with_capacity(n);
+                for j in 0..n {
+                    let cp = p_mod.center(last.coeffs()[j]);
+                    let q = m.value() as i128;
+                    let cp_in_qi = ((cp as i128 % q + q) % q) as u64;
+                    let diff = m.sub(a.limbs[i].coeffs()[j], cp_in_qi);
+                    out.push(m.mul(diff, inv_p));
+                }
+                Poly::from_coeffs(out)
+            })
+            .collect();
+        RnsPoly::from_limbs(target, limbs, Form::Coeff).unwrap()
+    }
+
+    /// Random residues with the edge cases planted at the front: the last
+    /// limb starts with `0, ⌊p/2⌋, ⌊p/2⌋+1, p−1`, every other limb with
+    /// `0` and `q_i − 1` against each of them.
+    fn edge_poly(ctx: &RnsContext, rng: &mut rand::rngs::StdRng) -> RnsPoly {
+        let k = ctx.len();
+        let p = ctx.moduli()[k - 1].value();
+        let last_edges = [0, p / 2, p / 2 + 1, p - 1];
+        let limbs = ctx
+            .moduli()
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let q = m.value();
+                let coeffs = (0..ctx.degree())
+                    .map(|j| match j {
+                        0..=7 if i == k - 1 => last_edges[j % 4],
+                        0..=3 => 0,
+                        4..=7 => q - 1,
+                        _ => rng.gen_range(0..q),
+                    })
+                    .collect();
+                Poly::from_coeffs(coeffs)
+            })
+            .collect();
+        RnsPoly::from_limbs(ctx, limbs, Form::Coeff).unwrap()
+    }
+
+    #[test]
+    fn rescale_by_last_matches_reference_formula() {
+        let mut rng = rng();
+        // The CHAM chain at the paper degree and at the test degree, plus
+        // chains whose dropped prime is below the surviving ones (there
+        // `c mod q_i = c` and `p mod q_i = p`).
+        for (n, primes) in [
+            (4096, vec![Q0, Q1, SPECIAL_P]),
+            (256, vec![Q0, Q1, SPECIAL_P]),
+            (256, vec![SPECIAL_P, Q1, Q0]),
+            (256, vec![SPECIAL_P, Q1]),
+        ] {
+            let full = RnsContext::new(n, &primes).unwrap();
+            let reduced = full.drop_last().unwrap();
+            for _ in 0..4 {
+                let a = edge_poly(&full, &mut rng);
+                let expect = rescale_reference(&a, &reduced);
+                assert_eq!(a.rescale_by_last(&reduced).unwrap(), expect, "{primes:?}");
+                let mut b = a.clone();
+                b.rescale_by_last_in_place(&reduced).unwrap();
+                assert_eq!(b, expect);
+                // The scalar twin agrees coefficient by coefficient.
+                for j in [0, 1, 2, 3, 4, 7, n - 1] {
+                    let residues: Vec<u64> = a.limbs().iter().map(|l| l.coeffs()[j]).collect();
+                    let got = full.rescale_residues(&residues);
+                    let want: Vec<u64> = expect.limbs().iter().map(|l| l.coeffs()[j]).collect();
+                    assert_eq!(got, want, "coeff {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rescale_in_place_rejects_bad_inputs_unchanged() {
+        let full = ctx3(16);
+        let mut a = RnsPoly::from_signed(&full, &[5i64; 16]).unwrap();
+        let before = a.clone();
+        assert!(a.rescale_by_last_in_place(&full).is_err()); // not the prefix
+        a.to_ntt();
+        assert!(a
+            .rescale_by_last_in_place(&full.drop_last().unwrap())
+            .is_err());
+        a.to_coeff();
+        assert_eq!(a, before);
+        let single = RnsContext::new(16, &[Q0]).unwrap();
+        let mut s = RnsPoly::zero(&single);
+        assert!(s.rescale_by_last_in_place(&single).is_err());
+    }
+
+    #[test]
+    fn constant_coeffs_read_ntt_form_without_inverse() {
+        let mut rng = rng();
+        for n in [16usize, 256, 4096] {
+            let c = ctx3(n);
+            let a = edge_poly(&c, &mut rng);
+            let want: Vec<u64> = a.limbs().iter().map(|l| l.coeffs()[0]).collect();
+            assert_eq!(a.constant_coeffs(), want);
+            let mut an = a.clone();
+            an.to_ntt();
+            assert_eq!(an.constant_coeffs(), want, "n={n}");
+        }
+    }
+
+    /// Checks the digits re-embed each source limb exactly
+    /// (`digit_i mod q_j == limb_i mod q_j`) and recombine to the value.
+    fn check_digits(src: &RnsPoly, target: &RnsContext) {
+        let digits = src.decompose_digits(target).unwrap();
+        assert_eq!(digits.len(), src.context().len());
+        for (i, digit) in digits.iter().enumerate() {
+            assert_eq!(digit.context(), target);
+            assert_eq!(digit.form(), Form::Coeff);
+            for (j, to) in target.moduli().iter().enumerate() {
+                let expect: Vec<u64> = src.limbs()[i]
+                    .coeffs()
+                    .iter()
+                    .map(|&x| x % to.value())
+                    .collect();
+                assert_eq!(digit.limbs()[j].coeffs(), expect, "digit {i} limb {j}");
+            }
+        }
+    }
+
     #[test]
     fn decompose_digits_recombines() {
-        // sum_i digit_i * (Q/q_i * [(Q/q_i)^-1]_{q_i}) == value (mod Q)
-        let two = RnsContext::new(8, &[Q0, Q1]).unwrap();
-        let full = ctx3(8);
+        // sum_i digit_i * (Q/q_i * [(Q/q_i)^-1]_{q_i}) == value (mod Q),
+        // on the CHAM chain, with limb residues at 0 and q_i − 1.
+        let two = RnsContext::new(16, &[Q0, Q1]).unwrap();
+        let full = ctx3(16);
         let mut rng = rng();
         let q = two.modulus_product();
-        let vals: Vec<u128> = (0..8).map(|_| rng.gen::<u128>() % q).collect();
+        let (q0, q1) = (Q0 as u128, Q1 as u128);
+        let mut vals: Vec<u128> = vec![
+            0,
+            q - 1,
+            q0,
+            q0 - 1,
+            q1,
+            q1 - 1,
+            q0 * (q1 - 1),
+            q1 * (q0 - 1),
+        ];
+        vals.extend((vals.len()..16).map(|_| rng.gen::<u128>() % q));
         let limbs: Vec<Poly> = two
             .moduli()
             .iter()
@@ -977,21 +1239,44 @@ mod tests {
             })
             .collect();
         let a = RnsPoly::from_limbs(&two, limbs, Form::Coeff).unwrap();
+        check_digits(&a, &full);
         let digits = a.decompose_digits(&full).unwrap();
         assert_eq!(digits.len(), 2);
         // Recombination constants
-        let q0 = Q0 as u128;
-        let q1 = Q1 as u128;
         let m0 = Modulus::new(Q0).unwrap();
         let m1 = Modulus::new(Q1).unwrap();
         let g0 = q1 * m0.inv(Q1 % Q0).unwrap() as u128 % q;
         let g1 = q0 * m1.inv(Q0 % Q1).unwrap() as u128 % q;
-        for j in 0..8 {
+        for (j, &v) in vals.iter().enumerate() {
             let d0 = digits[0].limbs()[0].coeffs()[j] as u128; // value < q0
             let d1 = digits[1].limbs()[1].coeffs()[j] as u128; // value < q1
             let rec = (d0 * g0 % q + d1 * g1 % q) % q;
-            assert_eq!(rec, vals[j], "coeff {j}");
+            assert_eq!(rec, v, "coeff {j}");
         }
+        // Coefficient-form input and a matching degree are required.
+        let mut an = a.clone();
+        an.to_ntt();
+        assert!(an.decompose_digits(&full).is_err());
+        assert!(a.decompose_digits(&ctx3(32)).is_err());
+    }
+
+    #[test]
+    fn decompose_digits_covers_every_embedding_case() {
+        // 97 ≡ 1 mod 32 keeps the chain NTT-friendly at N = 16. Source
+        // limbs into the target take all three paths: p → q0 and p → 97
+        // need Barrett (p ≥ 2q), q0 → q1 one conditional subtraction
+        // (q1 < q0 < 2·q1), and 97 / q1 → anything at least as large copy.
+        let src = RnsContext::new(16, &[SPECIAL_P, Q0, Q1, 97]).unwrap();
+        let target = RnsContext::new(16, &[Q1, 97, Q0, SPECIAL_P]).unwrap();
+        assert_eq!(
+            Embed::between(SPECIAL_P, &target.moduli()[2]),
+            Embed::Barrett
+        );
+        assert_eq!(Embed::between(Q0, &target.moduli()[0]), Embed::CondSub);
+        assert_eq!(Embed::between(97, &target.moduli()[0]), Embed::Copy);
+        let mut rng = rng();
+        let a = edge_poly(&src, &mut rng);
+        check_digits(&a, &target);
     }
 
     #[test]

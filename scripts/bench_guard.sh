@@ -13,7 +13,8 @@
 #                       host should vectorize (simd_expect_vector = 1) but
 #                       whose resolved backend is scalar (simd_lanes <= 1)
 #   fig8_hmvp        -> dot_phase_serial_seconds, dot_phase_parallel_seconds,
-#                       dot_phase_unfused_seconds (lower is better)
+#                       dot_phase_unfused_seconds, rescale_tail_fused_us
+#                       (lower is better)
 #   serve_throughput -> served_seconds, latency_p99_ns (lower is better),
 #                       speedup (higher is better)
 #   serve_cluster    -> latency_p99_ns (lower is better),
@@ -61,6 +62,7 @@ GUARDS = {
         "dot_phase_serial_seconds": "lower",
         "dot_phase_parallel_seconds": "lower",
         "dot_phase_unfused_seconds": "lower",
+        "rescale_tail_fused_us": "lower",
     },
     "serve_throughput": {
         "served_seconds": "lower",
